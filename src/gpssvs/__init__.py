@@ -4,7 +4,9 @@ nonclassicality diagnostics.
 
 Closed-form Fock series live in :mod:`gpssvs.states` and
 :mod:`gpssvs.observables`; an independent dense-operator route in
-:mod:`gpssvs.oracle` backs the :mod:`gpssvs.verify` suite.
+:mod:`gpssvs.oracle` backs the :mod:`gpssvs.verify` suite.  Every output
+format (state, sweep, Wigner grid, verify report) is written by
+:mod:`gpssvs.writers`, which the CLI shares.
 """
 
 from .deform import HARMONIC, POSCHL_TELLER, CUSTOM, Nonlinearity
@@ -25,9 +27,6 @@ from .states import (
     pssvs,
     squeezed_vacuum,
     coefficients_by_recursion,
-    choose_truncation,
-    photon_distribution,
-    write_state_csv,
 )
 from .observables import (
     QuadratureReport,
@@ -39,7 +38,6 @@ from .observables import (
     quadrature_report,
     number_stats,
     sweep,
-    write_sweep_csv,
 )
 from .oracle import (
     OperatorWorkspace,
@@ -53,12 +51,19 @@ from .wigner import (
     wigner_point,
     wigner_point_oracle,
     wigner_grid,
-    negativity_metrics,
-    resolve_threads,
+)
+from .verify import CheckResult, VerifyReport, run_suite
+from .writers import (
+    write_state,
+    write_state_csv,
+    write_sweep,
+    write_sweep_csv,
+    write_wigner,
     write_wigner_csv,
     write_wigner_matrix,
+    report_to_json,
+    write_report,
 )
-from .verify import CheckResult, VerifyReport, run_suite, report_to_json
 
 __version__ = "0.1.0"
 
@@ -69,15 +74,15 @@ __all__ = [
     "AdaptiveSum", "adaptive_log_sum",
     "EVEN", "ODD", "SqueezeSpec", "FockExpansion",
     "pssvs", "squeezed_vacuum", "coefficients_by_recursion",
-    "choose_truncation", "photon_distribution", "write_state_csv",
     "QuadratureReport", "NumberStatsReport", "SweepRow", "SWEEP_QUANTITIES",
     "expectation_moments", "moments_from_distribution",
-    "quadrature_report", "number_stats", "sweep", "write_sweep_csv",
+    "quadrature_report", "number_stats", "sweep",
     "OperatorWorkspace", "build_workspace", "squeeze_by_exponential",
     "subtract_photons", "annihilation_residual",
     "WignerGrid", "wigner_point", "wigner_point_oracle", "wigner_grid",
-    "negativity_metrics", "resolve_threads",
-    "write_wigner_csv", "write_wigner_matrix",
-    "CheckResult", "VerifyReport", "run_suite", "report_to_json",
+    "CheckResult", "VerifyReport", "run_suite",
+    "write_state", "write_state_csv", "write_sweep", "write_sweep_csv",
+    "write_wigner", "write_wigner_csv", "write_wigner_matrix",
+    "report_to_json", "write_report",
     "__version__",
 ]

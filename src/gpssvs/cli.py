@@ -6,13 +6,12 @@ phase-space grid, ``verify`` runs the cross-module check suite.
 
 Exit codes: 0 success, 2 usage error, 3 domain failure (no convergence,
 annihilated state, oracle window too small), 4 verification failure.  All outputs
-are deterministic for fixed flags; floats are written with 17 significant
-digits so files round-trip bit-exactly.
+are deterministic for fixed flags.  Every file is written by
+:mod:`gpssvs.writers`, the same functions the library exports, so a CLI
+file and a library file of the same result are byte-identical.
 """
 
 import argparse
-from dataclasses import dataclass, field
-import json
 import sys
 
 import numpy as np
@@ -23,31 +22,9 @@ from . import observables as obs
 from . import states as st
 from . import verify as vf
 from . import wigner as wg
+from . import writers
 
 SWEEP_AXES = ("r", "theta", "m")
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation: one subcommand plus its flag values."""
-
-    subcommand: str
-    f: str = "harmonic"
-    pt_lambda: float = 1.5
-    pt_kappa: float = 1.5
-    custom_file: str | None = None
-    r: float = 0.0
-    theta: float = 0.0
-    m: int = 0
-    parity: str = st.EVEN
-    sweep: dict = field(default_factory=dict)
-    quantities: tuple = ()
-    grid: tuple | None = None
-    tol: float = 1e-12
-    nmax: int = st.DEFAULT_N_MAX
-    oracle_dim: int = vf.DEFAULT_ORACLE_DIM
-    out: str | None = None
-    format: str = "csv"
 
 
 def _add_nl_flags(p: argparse.ArgumentParser):
@@ -76,9 +53,9 @@ def _add_numeric_flags(p: argparse.ArgumentParser):
                    help="Fock dimension of the dense verification oracle")
 
 
-def _add_out_flags(p: argparse.ArgumentParser, formats=("csv", "json")):
+def _add_out_flags(p: argparse.ArgumentParser, kind: str):
     p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--format", choices=formats, default="csv")
+    p.add_argument("--format", choices=writers.FORMATS[kind], default="csv")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_state = sub.add_parser("state", help="dump the Fock coefficients of one state")
     for add in (_add_nl_flags, _add_state_flags, _add_numeric_flags):
         add(p_state)
-    _add_out_flags(p_state)
+    _add_out_flags(p_state, "state")
 
     for name, default_q in (("quadratures", "var_x,var_p,robertson_rhs"),
                             ("number-squeezing", "n_squeeze,mandel_q")):
@@ -103,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="sweep an axis (r, theta or m); repeatable")
         p_cmd.add_argument("--quantities", default=default_q,
                            help="comma list from " + ",".join(obs.SWEEP_QUANTITIES))
-        _add_out_flags(p_cmd)
+        _add_out_flags(p_cmd, "sweep")
 
     p_wig = sub.add_parser("wigner", help="evaluate the Wigner function on a grid")
     for add in (_add_nl_flags, _add_state_flags, _add_numeric_flags):
@@ -112,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="xmin:xmax:n[,pmin:pmax:n]",
                        help="grid extent and node count (p axis defaults to x axis)")
     p_wig.add_argument("--out", required=True, help="output path")
-    p_wig.add_argument("--format", choices=("csv", "json", "matrix"), default="csv")
+    p_wig.add_argument("--format", choices=writers.FORMATS["wigner"], default="csv")
 
     p_ver = sub.add_parser("verify", help="run the cross-module verification suite")
     _add_numeric_flags(p_ver)
@@ -164,114 +141,67 @@ def _parse_grid(parser, text) -> tuple:
     parser.error(f"malformed --grid {text!r}")
 
 
-def _config_from_args(parser, args) -> RunConfig:
-    cfg = RunConfig(subcommand=args.subcommand)
-    for name in ("f", "pt_lambda", "pt_kappa", "custom_file", "r", "theta", "m",
-                 "parity", "tol", "nmax", "oracle_dim", "out", "format"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if hasattr(args, "sweep"):
-        cfg.sweep = _parse_sweep(parser, args.sweep)
-    if hasattr(args, "quantities"):
-        cfg.quantities = tuple(q.strip() for q in args.quantities.split(",") if q.strip())
-        for q in cfg.quantities:
-            if q not in obs.SWEEP_QUANTITIES:
-                parser.error(f"unknown quantity {q!r}")
-        if not cfg.quantities:
-            parser.error("--quantities must name at least one quantity")
-    if hasattr(args, "grid"):
-        cfg.grid = _parse_grid(parser, args.grid)
-    return cfg
+def _parse_quantities(parser, text) -> tuple:
+    quantities = tuple(q.strip() for q in text.split(",") if q.strip())
+    for q in quantities:
+        if q not in obs.SWEEP_QUANTITIES:
+            parser.error(f"unknown quantity {q!r}")
+    if not quantities:
+        parser.error("--quantities must name at least one quantity")
+    return quantities
 
 
-def _nonlinearity(parser, cfg: RunConfig) -> Nonlinearity:
-    if cfg.f == "harmonic":
+def _nonlinearity(parser, args) -> Nonlinearity:
+    if args.f == "harmonic":
         return Nonlinearity.harmonic()
-    if cfg.f == "poschl-teller":
+    if args.f == "poschl-teller":
         try:
-            return Nonlinearity.poschl_teller(cfg.pt_lambda, cfg.pt_kappa)
+            return Nonlinearity.poschl_teller(args.pt_lambda, args.pt_kappa)
         except ValueError as exc:
             parser.error(str(exc))
-    if cfg.custom_file is None:
+    if args.custom_file is None:
         parser.error("--f custom requires --custom-file")
     try:
-        with open(cfg.custom_file) as fh:
+        with open(args.custom_file) as fh:
             values = [float(line.strip()) for line in fh
                       if line.strip() and not line.lstrip().startswith("#")]
         return Nonlinearity.custom(values)
     except OSError as exc:
-        parser.error(f"cannot read {cfg.custom_file}: {exc}")
+        parser.error(f"cannot read {args.custom_file}: {exc}")
     except ValueError as exc:
         parser.error(f"bad custom table: {exc}")
 
 
-def _emit(text: str, out: str | None):
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+def _state(args, nl: Nonlinearity) -> st.FockExpansion:
+    spec = st.SqueezeSpec(args.r, args.theta, args.m, args.parity)
+    return st.pssvs(nl, spec, tol=args.tol, n_max=args.nmax)
 
 
-def _run_state(cfg: RunConfig, nl: Nonlinearity) -> int:
-    spec = st.SqueezeSpec(cfg.r, cfg.theta, cfg.m, cfg.parity)
-    state = st.pssvs(nl, spec, tol=cfg.tol, n_max=cfg.nmax)
-    if cfg.format == "csv":
-        lines = ["photon_number,re,im,prob"]
-        for n, c, p in zip(state.photon_numbers, state.coeffs, state.probabilities):
-            lines.append(f"{int(n)},{c.real:.17g},{c.imag:.17g},{p:.17g}")
-        _emit("\n".join(lines) + "\n", cfg.out)
-    else:
-        rows = [{"photon_number": int(n), "re": float(c.real), "im": float(c.imag),
-                 "prob": float(p)}
-                for n, c, p in zip(state.photon_numbers, state.coeffs,
-                                   state.probabilities)]
-        _emit(json.dumps(rows, indent=2) + "\n", cfg.out)
+def _run_state(args, nl: Nonlinearity) -> int:
+    writers.write_state(_state(args, nl), args.out, args.format)
     return 0
 
 
-def _run_sweep(cfg: RunConfig, nl: Nonlinearity) -> int:
-    r_values = cfg.sweep.get("r", np.array([cfg.r]))
-    theta_values = cfg.sweep.get("theta", np.array([cfg.theta]))
-    m_values = cfg.sweep.get("m", np.array([cfg.m], dtype=int))
-    rows = obs.sweep(nl, r_values, theta_values, m_values, cfg.parity,
-                     cfg.quantities, tol=cfg.tol, n_max=cfg.nmax)
-    if cfg.format == "csv":
-        lines = ["r,theta,m,parity,quantity,value,status"]
-        for row in rows:
-            value = "" if row.value is None else f"{row.value:.17g}"
-            lines.append(f"{row.r:.17g},{row.theta:.17g},{row.m},{row.parity},"
-                         f"{row.quantity},{value},{row.status}")
-        _emit("\n".join(lines) + "\n", cfg.out)
-    else:
-        payload = [{"r": row.r, "theta": row.theta, "m": row.m, "parity": row.parity,
-                    "quantity": row.quantity, "value": row.value, "status": row.status}
-                   for row in rows]
-        _emit(json.dumps(payload, indent=2) + "\n", cfg.out)
+def _run_sweep(args, nl: Nonlinearity) -> int:
+    r_values = args.sweep.get("r", np.array([args.r]))
+    theta_values = args.sweep.get("theta", np.array([args.theta]))
+    m_values = args.sweep.get("m", np.array([args.m], dtype=int))
+    rows = obs.sweep(nl, r_values, theta_values, m_values, args.parity,
+                     args.quantities, tol=args.tol, n_max=args.nmax)
+    writers.write_sweep(rows, args.out, args.format)
     return 0
 
 
-def _run_wigner(cfg: RunConfig, nl: Nonlinearity) -> int:
-    spec = st.SqueezeSpec(cfg.r, cfg.theta, cfg.m, cfg.parity)
-    state = st.pssvs(nl, spec, tol=cfg.tol, n_max=cfg.nmax)
-    (xmin, xmax, nx), (pmin, pmax, np_) = cfg.grid
-    grid = wg.wigner_grid(state, (xmin, xmax), (pmin, pmax), (nx, np_))
-    if cfg.format == "csv":
-        wg.write_wigner_csv(grid, cfg.out)
-    elif cfg.format == "matrix":
-        wg.write_wigner_matrix(grid, cfg.out)
-    else:
-        payload = wg._sidecar_payload(grid)
-        payload["x"] = [float(v) for v in grid.x_axis]
-        payload["p"] = [float(v) for v in grid.p_axis]
-        payload["w"] = [[float(v) for v in row] for row in grid.values]
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", cfg.out)
+def _run_wigner(args, nl: Nonlinearity) -> int:
+    (xmin, xmax, nx), (pmin, pmax, np_) = args.grid
+    grid = wg.wigner_grid(_state(args, nl), (xmin, xmax), (pmin, pmax), (nx, np_))
+    writers.write_wigner(grid, args.out, args.format)
     return 0
 
 
-def _run_verify(cfg: RunConfig) -> int:
-    report = vf.run_suite(oracle_dim=cfg.oracle_dim, tol=cfg.tol, n_max=cfg.nmax)
-    _emit(vf.report_to_json(report), cfg.out)
+def _run_verify(args) -> int:
+    report = vf.run_suite(oracle_dim=args.oracle_dim, tol=args.tol, n_max=args.nmax)
+    writers.write_report(report, args.out)
     if not report.all_passed:
         failed = [c.name for c in report.checks if not c.passed]
         print(f"verification failed: {', '.join(sorted(set(failed)))}", file=sys.stderr)
@@ -279,19 +209,19 @@ def _run_verify(cfg: RunConfig) -> int:
     return 0
 
 
-def run(cfg: RunConfig, parser: argparse.ArgumentParser) -> int:
-    """Dispatch a parsed configuration; returns the process exit code."""
+def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    """Dispatch parsed arguments; returns the process exit code."""
     try:
-        if cfg.subcommand == "verify":
-            return _run_verify(cfg)
-        nl = _nonlinearity(parser, cfg)
-        if cfg.subcommand == "state":
-            return _run_state(cfg, nl)
-        if cfg.subcommand in ("quadratures", "number-squeezing"):
-            return _run_sweep(cfg, nl)
-        if cfg.subcommand == "wigner":
-            return _run_wigner(cfg, nl)
-        parser.error(f"unknown subcommand {cfg.subcommand!r}")
+        if args.subcommand == "verify":
+            return _run_verify(args)
+        nl = _nonlinearity(parser, args)
+        if args.subcommand == "state":
+            return _run_state(args, nl)
+        if args.subcommand in ("quadratures", "number-squeezing"):
+            return _run_sweep(args, nl)
+        if args.subcommand == "wigner":
+            return _run_wigner(args, nl)
+        parser.error(f"unknown subcommand {args.subcommand!r}")
     except GpssvsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -318,5 +248,10 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_merge_dash_values(list(argv)))
-    cfg = _config_from_args(parser, args)
-    return run(cfg, parser)
+    if hasattr(args, "sweep"):
+        args.sweep = _parse_sweep(parser, args.sweep)
+    if hasattr(args, "quantities"):
+        args.quantities = _parse_quantities(parser, args.quantities)
+    if hasattr(args, "grid"):
+        args.grid = _parse_grid(parser, args.grid)
+    return run(args, parser)

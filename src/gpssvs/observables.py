@@ -18,12 +18,17 @@ import numpy as np
 from scipy.special import gammaln
 
 from .deform import Nonlinearity, POSCHL_TELLER, f_value, f_value_array, log_f_factorial_array
-from .errors import InternalConsistencyError
+from .errors import (AnnihilatedStateError, ConvergenceError, DimTooSmallError,
+                     InternalConsistencyError, TruncationError)
 from .logseries import adaptive_log_sum
 from .states import (DEFAULT_N_MAX, DEFAULT_TOL, EVEN, FockExpansion,
                      SqueezeSpec, pssvs)
 
 SWEEP_QUANTITIES = ("var_x", "var_p", "robertson_rhs", "n_squeeze", "mandel_q")
+
+# Failures a sweep records as an ``error:`` row instead of raising.
+_POINT_ERRORS = (ValueError, TruncationError, ConvergenceError,
+                 AnnihilatedStateError, DimTooSmallError)
 
 
 @dataclass(frozen=True)
@@ -224,8 +229,11 @@ def sweep(nl: Nonlinearity, r_values, theta_values, m_values, parity: str,
     """Dense table of diagnostics over the Cartesian parameter grid.
 
     Row order is deterministic: r outermost, then theta, then m, with the
-    requested quantities innermost.  Failures at a point are recorded in
-    the status column and the sweep continues.
+    requested quantities innermost.  Invalid parameters (ValueError) and
+    domain failures at a point (truncation, convergence, annihilated
+    state, window too small) are recorded in the status column and the
+    sweep continues; internal inconsistencies and programming errors
+    propagate.
     """
     for q in quantities:
         if q not in SWEEP_QUANTITIES:
@@ -242,7 +250,7 @@ def sweep(nl: Nonlinearity, r_values, theta_values, m_values, parity: str,
                     state = pssvs(nl, spec, tol=tol, n_max=n_max)
                     quad = quadrature_report(state, n_max=n_max) if need_quad else None
                     stats = number_stats(state) if need_stats else None
-                except Exception as exc:  # per-point failure: record and move on
+                except _POINT_ERRORS as exc:
                     for q in quantities:
                         rows.append(SweepRow(**point, quantity=q, value=None,
                                              status=f"error:{type(exc).__name__}"))
@@ -262,13 +270,3 @@ def sweep(nl: Nonlinearity, r_values, theta_values, m_values, parity: str,
                     rows.append(SweepRow(**point, quantity=q, value=float(value),
                                          status="ok"))
     return rows
-
-
-def write_sweep_csv(rows, path) -> None:
-    """Dump sweep rows as CSV with 17 significant digits."""
-    with open(path, "w", newline="") as fh:
-        fh.write("r,theta,m,parity,quantity,value,status\n")
-        for row in rows:
-            value = "" if row.value is None else f"{row.value:.17g}"
-            fh.write(f"{row.r:.17g},{row.theta:.17g},{row.m},{row.parity},"
-                     f"{row.quantity},{value},{row.status}\n")

@@ -242,30 +242,3 @@ def coefficients_by_recursion(nl: Nonlinearity, r: float, theta: float,
 
     scan = adaptive_log_sum(logw, tol, n_max)
     return _expansion_from_scan(nl, spec, tol, scan)
-
-
-def choose_truncation(nl: Nonlinearity, spec: SqueezeSpec, tol: float = DEFAULT_TOL,
-                      n_max: int = DEFAULT_N_MAX) -> int:
-    """Retained-term count the adaptive tail rule selects for this state."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    _require_subtractable(spec)
-    if spec.r == 0.0:
-        return 1
-    return adaptive_log_sum(_log_weight_fn(nl, spec), tol, n_max).n_terms
-
-
-def photon_distribution(state: FockExpansion) -> list[tuple[int, float]]:
-    """Pairs (photon number, probability) over the retained support."""
-    return list(zip((int(n) for n in state.photon_numbers),
-                    (float(p) for p in state.probabilities)))
-
-
-def write_state_csv(state: FockExpansion, path) -> None:
-    """Dump coefficients as CSV: photon_number,re,im,prob sorted by number."""
-    coeffs = state.coeffs
-    probs = state.probabilities
-    with open(path, "w", newline="") as fh:
-        fh.write("photon_number,re,im,prob\n")
-        for n, c, p in zip(state.photon_numbers, coeffs, probs):
-            fh.write(f"{int(n)},{c.real:.17g},{c.imag:.17g},{p:.17g}\n")

@@ -19,7 +19,6 @@ implementation.
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-import json
 import math
 import os
 
@@ -35,47 +34,7 @@ IMAG_RESIDUE_TOL = 1e-8
 ORACLE_DEFICIT_TOL = 1e-9
 
 _BIG = 1e270
-_TINY = 1e-270
 _LOG_BIG = math.log(_BIG)
-
-
-def laguerre_assoc(n: int, alpha: float, x: float) -> float:
-    """Associated Laguerre L_n^{(α)}(x) by the stable three-term recurrence."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return 1.0
-    prev, cur = 1.0, 1.0 + alpha - x
-    for j in range(1, n):
-        prev, cur = cur, ((2 * j + 1 + alpha - x) * cur - (j + alpha) * prev) / (j + 1)
-    return cur
-
-
-def laguerre_assoc_log(n: int, alpha: float, x: float) -> tuple[float, float]:
-    """(sign, log|L_n^{(α)}(x)|): recurrence with on-the-fly rescaling.
-
-    The rescaling branch triggers on a magnitude probe, so moderate inputs
-    take the plain float path and large n stays finite in log space.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return 1.0, 0.0
-    prev, cur = 1.0, 1.0 + alpha - x
-    offset = 0.0
-    for j in range(1, n):
-        prev, cur = cur, ((2 * j + 1 + alpha - x) * cur - (j + alpha) * prev) / (j + 1)
-        if abs(cur) > _BIG:
-            cur /= _BIG
-            prev /= _BIG
-            offset += _LOG_BIG
-        elif 0.0 < abs(cur) < _TINY and abs(prev) < _TINY:
-            cur *= _BIG
-            prev *= _BIG
-            offset -= _LOG_BIG
-    if cur == 0.0:
-        return 0.0, -math.inf
-    return math.copysign(1.0, cur), math.log(abs(cur)) + offset
 
 
 def _laguerre_log_table(max_degree: int, alphas: np.ndarray, x: float):
@@ -207,8 +166,15 @@ def displacement_columns(delta: complex, photon_numbers: np.ndarray, dim: int,
 
 
 def _oracle_window(state: FockExpansion, delta: complex) -> tuple[int, int]:
+    """(dim, band) of the displaced-parity window for support up to |max_p>.
+
+    Displacing |n> by δ spreads it to photon numbers near (√(n+1) + |δ|)²,
+    so far from the origin the margin grows with |δ|²; near the origin
+    the e|δ|√(n+1) spread is the larger one and sets the window.
+    """
     max_p = int(state.photon_numbers[-1])
-    margin = int(math.ceil(math.e * abs(delta) * math.sqrt(max_p + 1.0))) + 40
+    root, size = math.sqrt(max_p + 1.0), abs(delta)
+    margin = int(math.ceil(max(math.e * size * root, size * size + 2.0 * size * root))) + 40
     return max_p + 1 + margin, margin
 
 
@@ -237,7 +203,11 @@ def wigner_point_oracle(state: FockExpansion, z: complex,
 
 @dataclass(frozen=True, eq=False)
 class WignerGrid:
-    """Wigner values on a rectangular phase-space grid with metrics."""
+    """Wigner values on a rectangular phase-space grid with metrics.
+
+    The negativity metrics are min_value, negative_volume (the trapezoid
+    integral of the negative part) and integral (of W itself, ≈ 1).
+    """
 
     x_axis: np.ndarray
     p_axis: np.ndarray
@@ -249,35 +219,13 @@ class WignerGrid:
     integral: float
 
 
-def resolve_threads(explicit: int | None = None) -> int:
-    """Worker count: explicit argument, else GPSSVS_THREADS (0 = auto)."""
-    if explicit is None:
-        raw = os.environ.get("GPSSVS_THREADS", "0")
-        try:
-            explicit = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"GPSSVS_THREADS must be an integer, got {raw!r}") from exc
-    if explicit < 0:
-        raise ValueError("thread count must be nonnegative")
-    if explicit == 0:
-        return min(os.cpu_count() or 1, 8)
-    return explicit
-
-
-def _grid_metrics(x_axis, p_axis, values) -> tuple[float, float, float]:
-    integral = float(np.trapezoid(np.trapezoid(values, p_axis, axis=1), x_axis))
-    negative = 0.5 * (np.abs(values) - values)
-    neg_volume = float(np.trapezoid(np.trapezoid(negative, p_axis, axis=1), x_axis))
-    return float(values.min()), neg_volume, integral
-
-
-def wigner_grid(state: FockExpansion, x_range, p_range, resolution,
-                threads: int | None = None) -> WignerGrid:
+def wigner_grid(state: FockExpansion, x_range, p_range, resolution) -> WignerGrid:
     """Evaluate W on the product grid and attach negativity metrics.
 
     resolution is one node count for both axes or a (nx, np) pair, each at
-    least 2.  Work is split across rows; any per-point failure aborts the
-    whole grid, so a returned grid is always complete.
+    least 2.  Rows are shared among one worker thread per CPU the process
+    may run on; any per-point failure aborts the whole grid, so a returned
+    grid is always complete.
     """
     if np.isscalar(resolution):
         res_x = res_p = int(resolution)
@@ -293,58 +241,15 @@ def wigner_grid(state: FockExpansion, x_range, p_range, resolution,
         xv = x_axis[ix]
         return np.array([evaluator.evaluate(complex(xv, pv)) for pv in p_axis])
 
-    workers = resolve_threads(threads)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, range(res_x)))
-    else:
-        rows = [row(ix) for ix in range(res_x)]
-    values = np.vstack(rows)
+    workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        values = np.vstack(list(pool.map(row, range(res_x))))
     for arr in (x_axis, p_axis, values):
         arr.flags.writeable = False
-    min_value, neg_volume, integral = _grid_metrics(x_axis, p_axis, values)
+    integral = float(np.trapezoid(np.trapezoid(values, p_axis, axis=1), x_axis))
+    negative = 0.5 * (np.abs(values) - values)
+    neg_volume = float(np.trapezoid(np.trapezoid(negative, p_axis, axis=1), x_axis))
     return WignerGrid(x_axis=x_axis, p_axis=p_axis, values=values, nl=state.nl,
-                      spec=state.spec, min_value=min_value,
+                      spec=state.spec, min_value=float(values.min()),
                       negative_volume=neg_volume, integral=integral)
-
-
-def negativity_metrics(grid: WignerGrid) -> tuple[float, float, float]:
-    """(min value, negative volume, integral) by the trapezoid rule."""
-    return _grid_metrics(grid.x_axis, grid.p_axis, grid.values)
-
-
-def _sidecar_payload(grid: WignerGrid) -> dict:
-    return {
-        "nonlinearity": grid.nl.describe(),
-        "spec": None if grid.spec is None else grid.spec.describe(),
-        "resolution": [int(grid.x_axis.size), int(grid.p_axis.size)],
-        "x_axis": {"min": float(grid.x_axis[0]), "max": float(grid.x_axis[-1]),
-                   "count": int(grid.x_axis.size)},
-        "p_axis": {"min": float(grid.p_axis[0]), "max": float(grid.p_axis[-1]),
-                   "count": int(grid.p_axis.size)},
-        "metrics": {"min_value": grid.min_value,
-                    "negative_volume": grid.negative_volume,
-                    "integral": grid.integral},
-    }
-
-
-def write_wigner_csv(grid: WignerGrid, path) -> None:
-    """Row-major x,p,w CSV plus a JSON metadata sidecar at <path>.json."""
-    with open(path, "w", newline="") as fh:
-        fh.write("x,p,w\n")
-        for ix, xv in enumerate(grid.x_axis):
-            for ip, pv in enumerate(grid.p_axis):
-                fh.write(f"{xv:.17g},{pv:.17g},{grid.values[ix, ip]:.17g}\n")
-    with open(f"{path}.json", "w") as fh:
-        json.dump(_sidecar_payload(grid), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def write_wigner_matrix(grid: WignerGrid, path) -> None:
-    """Gnuplot-compatible matrix: one row of w per x node, axes in comments."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# x {grid.x_axis[0]:.17g} {grid.x_axis[-1]:.17g} {grid.x_axis.size}\n")
-        fh.write(f"# p {grid.p_axis[0]:.17g} {grid.p_axis[-1]:.17g} {grid.p_axis.size}\n")
-        for ix in range(grid.x_axis.size):
-            fh.write(" ".join(f"{v:.17g}" for v in grid.values[ix]))
-            fh.write("\n")

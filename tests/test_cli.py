@@ -2,16 +2,27 @@
 
 import csv
 import json
+import os
+from pathlib import Path
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import gpssvs
+from gpssvs import cli
+
+
+# The CLI subprocess imports the same package as the tests, installed or not.
+SRC = str(Path(gpssvs.__file__).resolve().parents[1])
+ENV = {**os.environ,
+       "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+
 
 def run_cli(*args, cwd=None):
     return subprocess.run([sys.executable, "-m", "gpssvs", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd, env=ENV)
 
 
 class TestState:
@@ -178,6 +189,71 @@ class TestWigner:
     def test_malformed_grid(self):
         assert run_cli("wigner", "--r", "0.5", "--grid", "0:1",
                        "--out", "/tmp/x.csv").returncode == 2
+
+
+class TestSharedWriters:
+    """Files from the CLI equal the library writers' files byte for byte."""
+
+    PT = gpssvs.Nonlinearity.poschl_teller(1.5, 1.5)
+    FLAGS = ("--f", "poschl-teller", "--r", "1.3", "--theta", "0.7", "--m", "1",
+             "--parity", "odd")
+    SPEC = gpssvs.SqueezeSpec(1.3, 0.7, 1, "odd")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_state(self, tmp_path, capsys, fmt):
+        path, lib = tmp_path / "cli", tmp_path / "lib"
+        assert cli.main(["state", *self.FLAGS, "--format", fmt, "--out", str(path)]) == 0
+        assert cli.main(["state", *self.FLAGS, "--format", fmt]) == 0
+        gpssvs.write_state(gpssvs.pssvs(self.PT, self.SPEC), lib, fmt)
+        assert path.read_bytes() == lib.read_bytes()
+        assert capsys.readouterr().out.encode() == lib.read_bytes()
+        if fmt == "csv":
+            gpssvs.write_state_csv(gpssvs.pssvs(self.PT, self.SPEC), lib)
+            assert path.read_bytes() == lib.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep(self, tmp_path, fmt):
+        path, lib = tmp_path / "cli", tmp_path / "lib"
+        assert cli.main(["quadratures", *self.FLAGS, "--sweep", "r=0:1.5:4",
+                         "--format", fmt, "--out", str(path)]) == 0
+        rows = gpssvs.sweep(self.PT, np.linspace(0, 1.5, 4), [0.7], [1], "odd",
+                            ("var_x", "var_p", "robertson_rhs"))
+        assert any(row.status != "ok" for row in rows)  # error rows too
+        gpssvs.write_sweep(rows, lib, fmt)
+        assert path.read_bytes() == lib.read_bytes()
+        if fmt == "csv":
+            gpssvs.write_sweep_csv(rows, lib)
+            assert path.read_bytes() == lib.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "matrix", "json"])
+    def test_wigner(self, tmp_path, fmt):
+        path, lib = tmp_path / "cli", tmp_path / "lib"
+        assert cli.main(["wigner", *self.FLAGS, "--grid", "-2:2:7,-1:1:5",
+                         "--format", fmt, "--out", str(path)]) == 0
+        grid = gpssvs.wigner_grid(gpssvs.pssvs(self.PT, self.SPEC), (-2, 2), (-1, 1), (7, 5))
+        {"csv": gpssvs.write_wigner_csv, "matrix": gpssvs.write_wigner_matrix,
+         "json": lambda g, p: gpssvs.write_wigner(g, p, "json")}[fmt](grid, lib)
+        assert path.read_bytes() == lib.read_bytes()
+        if fmt == "csv":
+            assert ((tmp_path / "cli.json").read_bytes()
+                    == (tmp_path / "lib.json").read_bytes())
+
+    def test_unknown_format_rejected_before_writing(self, tmp_path):
+        state = gpssvs.pssvs(self.PT, self.SPEC)
+        grid = gpssvs.wigner_grid(state, (-1, 1), (-1, 1), 3)
+        for write, obj in ((gpssvs.write_state, state), (gpssvs.write_sweep, []),
+                           (gpssvs.write_wigner, grid)):
+            with pytest.raises(ValueError):
+                write(obj, tmp_path / "x", "png")
+        assert not list(tmp_path.iterdir())
+
+    def test_internal_error_exits_3_without_rows(self, monkeypatch, capsys):
+        def broken(state, n_max=None):
+            raise gpssvs.InternalConsistencyError("routes disagree")
+
+        monkeypatch.setattr(gpssvs.observables, "quadrature_report", broken)
+        assert cli.main(["quadratures", *self.FLAGS]) == 3
+        assert capsys.readouterr().out == ""
 
 
 class TestVerify:

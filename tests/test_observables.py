@@ -7,6 +7,7 @@ import pytest
 
 from gpssvs import (
     EVEN,
+    InternalConsistencyError,
     Nonlinearity,
     ODD,
     SqueezeSpec,
@@ -20,6 +21,7 @@ from gpssvs import (
     sweep,
     write_sweep_csv,
 )
+from gpssvs import observables
 
 HARM = Nonlinearity.harmonic()
 PT = Nonlinearity.poschl_teller(1.5, 1.5)
@@ -147,6 +149,20 @@ class TestSweep:
         assert rows[0].status == "ok"
         assert rows[1].status == "error:AnnihilatedStateError"
         assert rows[1].value is None
+
+    def test_convergence_failure_recorded(self):
+        rows = sweep(HARM, [2.0], [0.0], [0], EVEN, quantities=("var_x",), n_max=3)
+        assert rows[0].status == "error:ConvergenceError"
+
+    @pytest.mark.parametrize("exc", [InternalConsistencyError("routes disagree"),
+                                     ZeroDivisionError("programming error")])
+    def test_internal_and_programming_errors_propagate(self, monkeypatch, exc):
+        def broken(state, n_max=None):
+            raise exc
+
+        monkeypatch.setattr(observables, "quadrature_report", broken)
+        with pytest.raises(type(exc)):
+            sweep(PT, [1.0], [0.0], [0], EVEN, quantities=("var_x",))
 
     def test_vacuum_mandel_absent(self):
         rows = sweep(HARM, [0.0], [0.0], [0], EVEN, quantities=("mandel_q",))

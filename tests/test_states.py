@@ -15,9 +15,7 @@ from gpssvs import (
     ODD,
     SqueezeSpec,
     TruncationError,
-    choose_truncation,
     coefficients_by_recursion,
-    photon_distribution,
     pssvs,
     squeezed_vacuum,
     write_state_csv,
@@ -151,19 +149,14 @@ class TestRecursion:
 class TestTruncation:
     def test_zero_squeezing_needs_one_term(self):
         for nl in (Nonlinearity.harmonic(), Nonlinearity.poschl_teller(1.5, 1.5)):
-            assert choose_truncation(nl, SqueezeSpec(0.0)) == 1
+            assert pssvs(nl, SqueezeSpec(0.0)).truncation == 1
 
     def test_monotone_in_tolerance(self):
         nl = Nonlinearity.harmonic()
         spec = SqueezeSpec(1.0)
-        loose = choose_truncation(nl, spec, tol=1e-6)
-        tight = choose_truncation(nl, spec, tol=1e-14)
+        loose = pssvs(nl, spec, tol=1e-6).truncation
+        tight = pssvs(nl, spec, tol=1e-14).truncation
         assert tight > loose
-
-    def test_matches_built_state(self):
-        nl = Nonlinearity.poschl_teller(1.5, 1.5)
-        spec = SqueezeSpec(1.0, 0.2, 1, ODD)
-        assert choose_truncation(nl, spec) == pssvs(nl, spec).truncation
 
 
 class TestDense:
@@ -185,11 +178,9 @@ class TestDense:
 class TestOutputs:
     def test_photon_distribution_pairs(self):
         state = pssvs(Nonlinearity.poschl_teller(1.5, 1.5), SqueezeSpec(1.0, 0.0, 1, EVEN))
-        dist = photon_distribution(state)
-        nums = [n for n, _ in dist]
-        probs = [p for _, p in dist]
-        assert nums == state.photon_numbers.tolist()
-        assert np.isclose(sum(probs), 1.0, atol=1e-12)
+        assert state.photon_numbers.shape == state.probabilities.shape
+        assert state.photon_numbers.tolist() == list(range(0, 2 * state.truncation, 2))
+        assert np.isclose(state.probabilities.sum(), 1.0, atol=1e-12)
 
     def test_write_state_csv_round_trip(self, tmp_path):
         state = pssvs(Nonlinearity.poschl_teller(1.5, 1.5), SqueezeSpec(1.0, 2.0, 1, ODD))

@@ -1,6 +1,7 @@
 """Wigner evaluation: Laguerre kernels, closed form, oracle, grids, metrics."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -15,45 +16,65 @@ from gpssvs import (
     SqueezeSpec,
     pssvs,
     squeezed_vacuum,
-    resolve_threads,
     wigner_grid,
     wigner_point,
     wigner_point_oracle,
     write_wigner_csv,
     write_wigner_matrix,
 )
-from gpssvs.wigner import TWO_OVER_PI, displacement_columns, laguerre_assoc, laguerre_assoc_log
+from gpssvs.wigner import TWO_OVER_PI, _laguerre_log_table, displacement_columns
 
 PT = Nonlinearity.poschl_teller(1.5, 1.5)
 HARM = Nonlinearity.harmonic()
 
 
 class TestLaguerre:
+    """The log-domain table that the closed form and the oracle both run."""
+
     def test_known_values(self):
-        # L_1^(2)(3) = 3 - 3 = 0; L_2^(0)(2) = 1 - 4 + 2 = -1.
-        assert laguerre_assoc(1, 2.0, 3.0) == pytest.approx(0.0, abs=1e-14)
-        assert laguerre_assoc(2, 0.0, 2.0) == pytest.approx(-1.0, rel=1e-14)
-        assert laguerre_assoc(0, 5.0, 9.0) == 1.0
+        # Columns alpha = 2, 0, 5 at x = 3 and x = 2, degrees 0..2:
+        # L_1^(2)(3) = 3 - 3 = 0; L_2^(0)(2) = 1 - 4 + 2 = -1; L_0 = 1.
+        log_t, sign_t = _laguerre_log_table(2, np.array([2.0, 0.0, 5.0]), 3.0)
+        assert np.array_equal(sign_t[0], [1, 1, 1]) and np.array_equal(log_t[0], [0, 0, 0])
+        assert sign_t[1, 0] == 0 and log_t[1, 0] == -math.inf
+        log_t, sign_t = _laguerre_log_table(2, np.array([0.0]), 2.0)
+        assert sign_t[2, 0] == -1
+        assert log_t[2, 0] == pytest.approx(0.0, abs=1e-14)
 
     @pytest.mark.parametrize("n,alpha,x", [(7, 0.0, 1.5), (20, 4.0, 9.0),
                                            (45, 12.0, 30.0)])
     def test_matches_scipy(self, n, alpha, x):
-        assert np.isclose(laguerre_assoc(n, alpha, x),
-                          eval_genlaguerre(n, alpha, x), rtol=1e-10)
+        # Every degree and every order column, not just the top entry.
+        alphas = np.array([alpha, alpha + 2.0])
+        log_t, sign_t = _laguerre_log_table(n, alphas, x)
+        ref = eval_genlaguerre(np.arange(n + 1)[:, None], alphas[None, :], x)
+        assert np.array_equal(sign_t, np.sign(ref))
+        assert np.allclose(sign_t * np.exp(log_t), ref, rtol=1e-10, atol=0.0)
 
     @pytest.mark.parametrize("n,alpha,x", [(15, 2.0, 4.0), (60, 10.0, 25.0)])
     def test_log_form_matches_plain(self, n, alpha, x):
-        sign, log_mag = laguerre_assoc_log(n, alpha, x)
-        plain = laguerre_assoc(n, alpha, x)
-        assert sign == np.sign(plain)
-        assert np.isclose(sign * math.exp(log_mag), plain, rtol=1e-9)
+        log_t, sign_t = _laguerre_log_table(n, np.array([alpha]), x)
+        plain = eval_genlaguerre(n, alpha, x)
+        assert sign_t[-1, 0] == np.sign(plain)
+        assert np.isclose(sign_t[-1, 0] * math.exp(log_t[-1, 0]), plain, rtol=1e-9)
 
     def test_log_form_survives_huge_degree(self):
-        # Plain recurrence values overflow the double range long before
-        # n = 3000; the log form must stay finite.
-        sign, log_mag = laguerre_assoc_log(3000, 6.0, 800.0)
-        assert sign in (-1.0, 0.0, 1.0)
-        assert math.isfinite(log_mag)
+        # Values pass the 1e270 rescale threshold at x = 2000; every
+        # degree must stay finite in log space.
+        for x in (800.0, 2000.0):
+            log_t, sign_t = _laguerre_log_table(3000, np.array([6.0]), x)
+            assert np.all(np.isfinite(log_t))
+            assert set(np.unique(sign_t)) <= {-1, 1}
+
+    def test_rescaled_values_match_high_precision(self):
+        mpmath = pytest.importorskip("mpmath")
+        log_t, sign_t = _laguerre_log_table(3000, np.array([6.0]), 2000.0)
+        with mpmath.workdps(50):
+            ref = mpmath.laguerre(3000, 6, 2000)
+            ref_log = float(mpmath.log(abs(ref)))
+        assert log_t[-1, 0] > 700.0  # beyond the double range
+        assert sign_t[-1, 0] == int(mpmath.sign(ref))
+        assert log_t[-1, 0] == pytest.approx(ref_log, rel=1e-12)
 
 
 class TestClosedFormPoints:
@@ -139,6 +160,16 @@ class TestOracleAgreement:
             assert np.isclose(wigner_point(state, z), wigner_point_oracle(state, z),
                               atol=1e-9)
 
+    @pytest.mark.parametrize("m", [1, 4])
+    @pytest.mark.parametrize("radius", [8.0, 6.0 * math.sqrt(2.0), 10.0])
+    def test_default_window_far_from_origin(self, m, radius):
+        # Displaced photon numbers grow like |z|^2; the default window must
+        # follow them (a ±6 grid corner sits at |z| = 8.49).
+        state = pssvs(PT, SqueezeSpec(4.0, 0.0, m, EVEN))
+        for angle in (0.0, math.pi / 4, math.pi / 2):
+            z = radius * complex(math.cos(angle), math.sin(angle))
+            assert abs(wigner_point_oracle(state, z) - wigner_point(state, z)) <= 1e-8
+
     def test_oracle_window_too_small(self):
         state = pssvs(PT, SqueezeSpec(1.0, 0.0, 1, EVEN))
         with pytest.raises(DimTooSmallError):
@@ -189,30 +220,17 @@ class TestGrid:
         with pytest.raises(ValueError):
             wigner_grid(state, (-2, 2), (-2, 2), 1)
 
-    def test_thread_count_does_not_change_values(self):
+    def test_thread_count_does_not_change_values(self, monkeypatch):
+        # Whatever the pool size (one worker per CPU in the affinity set),
+        # each grid value is the very number wigner_point gives at its node.
         state = pssvs(PT, SqueezeSpec(1.0, 0.0, 1, ODD))
-        serial = wigner_grid(state, (-2, 2), (-2, 2), 21, threads=1)
-        threaded = wigner_grid(state, (-2, 2), (-2, 2), 21, threads=4)
-        assert np.array_equal(serial.values, threaded.values)
-
-
-class TestThreads:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("GPSSVS_THREADS", "7")
-        assert resolve_threads(3) == 3
-
-    def test_env_parsing(self, monkeypatch):
-        monkeypatch.setenv("GPSSVS_THREADS", "5")
-        assert resolve_threads() == 5
-        monkeypatch.setenv("GPSSVS_THREADS", "0")
-        assert resolve_threads() >= 1
-        monkeypatch.setenv("GPSSVS_THREADS", "-2")
-        with pytest.raises(ValueError):
-            resolve_threads()
-
-    def test_default_when_unset(self, monkeypatch):
-        monkeypatch.delenv("GPSSVS_THREADS", raising=False)
-        assert resolve_threads() >= 1
+        for cpus in (1, 4):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            grid = wigner_grid(state, (-2, 2), (-1.5, 1.5), (9, 7))
+            points = np.array([[wigner_point(state, complex(x, p)) for p in grid.p_axis]
+                               for x in grid.x_axis])
+            assert np.array_equal(grid.values, points)
 
 
 class TestFileOutputs:
