@@ -16,6 +16,7 @@ from .errors import (
     ConvergenceError,
     AnnihilatedStateError,
     DimTooSmallError,
+    MemoryBudgetError,
     InternalConsistencyError,
 )
 from .logseries import AdaptiveSum, adaptive_log_sum
@@ -70,7 +71,8 @@ __version__ = "0.1.0"
 __all__ = [
     "HARMONIC", "POSCHL_TELLER", "CUSTOM", "Nonlinearity",
     "GpssvsError", "TruncationError", "ConvergenceError",
-    "AnnihilatedStateError", "DimTooSmallError", "InternalConsistencyError",
+    "AnnihilatedStateError", "DimTooSmallError", "MemoryBudgetError",
+    "InternalConsistencyError",
     "AdaptiveSum", "adaptive_log_sum",
     "EVEN", "ODD", "SqueezeSpec", "FockExpansion",
     "pssvs", "squeezed_vacuum", "coefficients_by_recursion",

@@ -4,14 +4,16 @@ Subcommands: ``state`` dumps coefficients, ``quadratures`` and
 ``number-squeezing`` run parameter sweeps, ``wigner`` evaluates a
 phase-space grid, ``verify`` runs the cross-module check suite.
 
-Exit codes: 0 success, 2 usage error, 3 domain failure (no convergence,
-annihilated state, oracle window too small), 4 verification failure.  All outputs
+Exit codes: 0 success, 2 usage error (including an output path that
+cannot be written), 3 domain failure (no convergence, annihilated state,
+oracle window too small, not enough memory), 4 verification failure.  All outputs
 are deterministic for fixed flags.  Every file is written by
 :mod:`gpssvs.writers`, the same functions the library exports, so a CLI
 file and a library file of the same result are byte-identical.
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -27,26 +29,37 @@ from . import writers
 SWEEP_AXES = ("r", "theta", "m")
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def _add_nl_flags(p: argparse.ArgumentParser):
     p.add_argument("--f", choices=("harmonic", "poschl-teller", "custom"),
                    default="harmonic", help="deformation function family")
-    p.add_argument("--pt-lambda", type=float, default=1.5,
+    p.add_argument("--pt-lambda", type=_finite_float, default=1.5,
                    help="Poschl-Teller lambda (>= 1/2)")
-    p.add_argument("--pt-kappa", type=float, default=1.5,
+    p.add_argument("--pt-kappa", type=_finite_float, default=1.5,
                    help="Poschl-Teller kappa (>= 1/2)")
     p.add_argument("--custom-file", default=None,
                    help="text file with one positive f(n) value per line, n = 1, 2, ...")
 
 
 def _add_state_flags(p: argparse.ArgumentParser):
-    p.add_argument("--r", type=float, default=0.0, help="squeezing magnitude")
-    p.add_argument("--theta", type=float, default=0.0, help="squeezing phase, radians")
+    p.add_argument("--r", type=_finite_float, default=0.0, help="squeezing magnitude")
+    p.add_argument("--theta", type=_finite_float, default=0.0,
+                   help="squeezing phase, radians")
     p.add_argument("--m", type=int, default=0, help="pair-subtraction index")
     p.add_argument("--parity", choices=(st.EVEN, st.ODD), default=st.EVEN)
 
 
 def _add_numeric_flags(p: argparse.ArgumentParser):
-    p.add_argument("--tol", type=float, default=1e-12, help="relative tail tolerance")
+    p.add_argument("--tol", type=_finite_float, default=1e-12, help="relative tail tolerance")
     p.add_argument("--nmax", type=int, default=st.DEFAULT_N_MAX,
                    help="cap on retained series terms")
     p.add_argument("--oracle-dim", type=int, default=vf.DEFAULT_ORACLE_DIM,
@@ -103,9 +116,10 @@ def _parse_sweep(parser, entries) -> dict:
         try:
             axis, rng = entry.split("=", 1)
             start, stop, count = rng.split(":")
-            start, stop, count = float(start), float(stop), int(count)
-        except ValueError:
-            parser.error(f"malformed --sweep {entry!r}; expected axis=start:stop:count")
+            start, stop, count = _finite_float(start), _finite_float(stop), int(count)
+        except (ValueError, argparse.ArgumentTypeError):
+            parser.error(f"malformed --sweep {entry!r}; expected axis=start:stop:count "
+                         "with finite start and stop")
         if axis not in SWEEP_AXES:
             parser.error(f"unknown sweep axis {axis!r}; pick from {SWEEP_AXES}")
         if count < 1:
@@ -124,10 +138,12 @@ def _parse_sweep(parser, entries) -> dict:
 
 def _parse_grid(parser, text) -> tuple:
     def triple(part):
-        bits = part.split(":")
-        if len(bits) != 3:
-            parser.error(f"malformed --grid component {part!r}")
-        lo, hi, n = float(bits[0]), float(bits[1]), int(bits[2])
+        try:
+            lo, hi, n = part.split(":")
+            lo, hi, n = _finite_float(lo), _finite_float(hi), int(n)
+        except (ValueError, argparse.ArgumentTypeError):
+            parser.error(f"malformed --grid component {part!r}; expected "
+                         "min:max:count with finite min and max")
         if n < 2:
             parser.error("grid needs at least 2 nodes per axis")
         return lo, hi, n
@@ -225,6 +241,9 @@ def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     except GpssvsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # an output path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def _merge_dash_values(argv, flags=("--grid",)):

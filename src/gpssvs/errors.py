@@ -39,5 +39,13 @@ class DimTooSmallError(GpssvsError):
     """
 
 
+class MemoryBudgetError(GpssvsError):
+    """A computation's estimated working set exceeds the machine's physical memory.
+
+    Raised before anything is allocated, so a request that cannot fit ends
+    in an error instead of an out-of-memory kill.
+    """
+
+
 class InternalConsistencyError(GpssvsError):
     """Two internal evaluation routes disagreed beyond tolerance."""

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConvergenceError, TruncationError
 
-_LOG_EPS = -745.0  # below exp() underflow; treated as exact zero weight
+_LOG_EPS = -745.0  # weight relative to the running sum below exp() underflow: zero
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ def adaptive_log_sum(log_weight, tol: float, n_max: int, block: int = 64) -> Ada
         return logs[j]
 
     w0 = fetch(0)
-    if w0 == -math.inf or w0 < _LOG_EPS:
+    if w0 == -math.inf:
         # Zero leading weight: by construction the callers' series then vanish
         # identically; retain the single structural term.
         return AdaptiveSum(1, np.array([-math.inf]), -math.inf, 0.0)
@@ -94,7 +94,7 @@ def adaptive_log_sum(log_weight, tol: float, n_max: int, block: int = 64) -> Ada
     while j <= n_max:
         w = fetch(j)
         # Candidate: discard from index j onwards.
-        if w == -math.inf or w < _LOG_EPS:
+        if w - log_run < _LOG_EPS:
             accepted = j
             last_tail_rel = 0.0
             break

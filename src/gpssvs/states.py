@@ -50,6 +50,8 @@ class SqueezeSpec:
     parity: str = EVEN
 
     def __post_init__(self):
+        if not (math.isfinite(self.r) and math.isfinite(self.theta)):
+            raise ValueError("r and theta must be finite")
         if self.r < 0:
             raise ValueError("r must be nonnegative")
         if self.m < 0 or int(self.m) != self.m:

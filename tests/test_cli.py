@@ -41,7 +41,8 @@ class TestState:
         csv_path, json_path = tmp_path / "s.csv", tmp_path / "s.json"
         assert run_cli(*args, "--out", str(csv_path)).returncode == 0
         assert run_cli(*args, "--format", "json", "--out", str(json_path)).returncode == 0
-        rows_c = list(csv.DictReader(csv_path.open()))
+        with csv_path.open() as fh:
+            rows_c = list(csv.DictReader(fh))
         rows_j = json.loads(json_path.read_text())
         assert len(rows_c) == len(rows_j)
         for rc, rj in zip(rows_c, rows_j):
@@ -96,6 +97,43 @@ class TestExitCodes:
                       "--r", "1.0")
         assert out.returncode == 2
 
+    @pytest.mark.parametrize("args", [("state", "--r", "nan"),
+                                      ("state", "--r", "0.5", "--theta", "inf"),
+                                      ("quadratures", "--sweep", "r=0:nan:3"),
+                                      ("number-squeezing", "--sweep", "theta=-inf:1:2"),
+                                      ("state", "--r", "0.5", "--tol", "nan"),
+                                      ("wigner", "--r", "0.5", "--grid", "nan:1:3",
+                                       "--out", "unused.csv"),
+                                      ("wigner", "--r", "0.5", "--grid", "-1:1:3,a:1:3",
+                                       "--out", "unused.csv"),
+                                      ("state", "--f", "poschl-teller", "--pt-kappa",
+                                       "inf", "--r", "1")])
+    def test_non_finite_number_is_usage_error(self, args, capsys):
+        # Rejected by the parser: no series runs and no error rows are written.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(args))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "finite" in captured.err
+
+    @pytest.mark.parametrize("args", [("state", "--r", "0.5"),
+                                      ("wigner", "--r", "0.5", "--grid", "-1:1:3")])
+    def test_missing_output_directory_is_usage_error(self, tmp_path, args):
+        target = tmp_path / "missing" / "x.csv"
+        out = run_cli(*args, "--out", str(target))
+        assert out.returncode == 2
+        assert out.stderr.startswith("error: ") and len(out.stderr.splitlines()) == 1
+        assert "Traceback" not in out.stderr
+        assert not target.parent.exists()
+
+    def test_memory_refusal_is_domain_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(gpssvs.wigner, "_physical_memory", lambda: 1 << 20)
+        path = tmp_path / "w.csv"
+        assert cli.main(["wigner", "--r", "0.5", "--grid", "-1:1:400",
+                         "--out", str(path)]) == 3
+        assert "MiB" in capsys.readouterr().err
+        assert not path.exists()
+
 
 class TestSweeps:
     def test_quadratures_sweep_csv(self, tmp_path):
@@ -103,7 +141,8 @@ class TestSweeps:
         out = run_cli("quadratures", "--f", "poschl-teller", "--sweep", "r=0.2:1:3",
                       "--sweep", "theta=0:6.28:2", "--out", str(path))
         assert out.returncode == 0
-        rows = list(csv.DictReader(path.open()))
+        with path.open() as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 3 * 2 * 3  # r x theta x quantities
         assert {row["quantity"] for row in rows} == {"var_x", "var_p", "robertson_rhs"}
         assert all(row["status"] == "ok" for row in rows)

@@ -55,6 +55,19 @@ def test_zero_leading_weight_returns_empty_total():
     assert out.log_total == -np.inf
 
 
+def test_tiny_weights_are_not_zero():
+    # Unnormalized weights far below exp() underflow still form a series;
+    # only their size relative to the running sum may end it.
+    shift = -1000.0
+
+    def log_weight(idx):
+        return shift + np.asarray(idx, dtype=float) * math.log(0.25)
+
+    out = adaptive_log_sum(log_weight, tol=1e-14, n_max=10_000)
+    assert out.n_terms > 1
+    assert np.isclose(out.log_total, shift + math.log(4.0 / 3.0), rtol=1e-13)
+
+
 def test_divergent_series_raises_with_tail_estimate():
     def log_weight(idx):
         return np.asarray(idx, dtype=float) * 0.0  # constant weights never converge

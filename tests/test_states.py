@@ -45,6 +45,14 @@ class TestSqueezeSpec:
         with pytest.raises(ValueError):
             SqueezeSpec(**bad)
 
+    @pytest.mark.parametrize("bad", [{"r": math.nan}, {"r": math.inf},
+                                     {"r": 1.0, "theta": math.nan},
+                                     {"r": 1.0, "theta": -math.inf}])
+    def test_non_finite_rejected(self, bad):
+        # NaN passes every comparison-based check, so it needs its own.
+        with pytest.raises(ValueError, match="finite"):
+            SqueezeSpec(**bad)
+
     def test_photons_removed(self):
         assert SqueezeSpec(1.0, m=2, parity=EVEN).photons_removed == 4
         assert SqueezeSpec(1.0, m=2, parity=ODD).photons_removed == 5
@@ -109,6 +117,16 @@ class TestPssvs:
             pssvs(nl, SqueezeSpec(0.0, 0.0, 1, EVEN))
         with pytest.raises(AnnihilatedStateError):
             pssvs(nl, SqueezeSpec(0.0, 0.0, 0, ODD))
+
+    @pytest.mark.parametrize("nl", [Nonlinearity.harmonic(),
+                                    Nonlinearity.poschl_teller(1.5, 1.5)])
+    def test_weak_odd_state_is_one_photon(self, nl):
+        # At r = 1e-200 every weight underflows exp() in absolute terms, but
+        # the state is still |1> to within the tolerance, not NaN.
+        state = pssvs(nl, SqueezeSpec(1e-200, 0.0, 0, ODD))
+        assert np.all(np.isfinite(state.log_mags))
+        assert state.photon_numbers[0] == 1
+        assert abs(state.coeffs[0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_deformation_shortens_support(self):
         # PT weights carry an extra 1/f(n)!^2, so the series cuts earlier.

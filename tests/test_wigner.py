@@ -1,8 +1,8 @@
 """Wigner evaluation: Laguerre kernels, closed form, oracle, grids, metrics."""
 
 import math
-import os
 
+from hypothesis import assume, given, settings, strategies as hs
 import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre, gammaln
@@ -11,6 +11,7 @@ import gpssvs
 from gpssvs import (
     DimTooSmallError,
     EVEN,
+    MemoryBudgetError,
     Nonlinearity,
     ODD,
     SqueezeSpec,
@@ -29,7 +30,7 @@ HARM = Nonlinearity.harmonic()
 
 
 class TestLaguerre:
-    """The log-domain table that the closed form and the oracle both run."""
+    """The log-domain table the oracle runs where scipy's values overflow."""
 
     def test_known_values(self):
         # Columns alpha = 2, 0, 5 at x = 3 and x = 2, degrees 0..2:
@@ -109,6 +110,29 @@ class TestClosedFormPoints:
         assert max(abs(v) for v in vals) <= TWO_OVER_PI + 1e-10
 
 
+class TestPointArrays:
+    def test_shapes(self):
+        state = pssvs(PT, SqueezeSpec(1.0, 0.5, 1, EVEN))
+        assert type(wigner_point(state, 0.3 + 0.1j)) is float
+        assert type(wigner_point(state, np.complex128(0.3))) is float
+        nodes = np.linspace(-1, 1, 12).reshape(3, 4) * (1 + 0.5j)
+        values = wigner_point(state, nodes)
+        assert values.shape == (3, 4) and values.dtype == float
+        assert np.array_equal(values, [[wigner_point(state, complex(z)) for z in row]
+                                       for row in nodes])
+        assert wigner_point(state, [0.1, -0.2j]).shape == (2,)
+        assert wigner_point(state, np.zeros((0, 5))).shape == (0, 5)
+
+    def test_large_truncation_matches_oracle(self):
+        # N = 2565: the pair coefficients times the Laguerre values span far
+        # more than the double range, which the normalized recurrence and
+        # its rescaling must absorb.
+        state = squeezed_vacuum(HARM, 3.0, 0.0)
+        assert state.truncation > 2000
+        for z in (0.05j, 0.3 + 0.1j, 1.5 - 1.0j):
+            assert abs(wigner_point(state, z) - wigner_point_oracle(state, z)) <= 1e-10
+
+
 class TestCoherentTransform:
     def test_matches_independent_phase_space_integral(self):
         # Independent route for the harmonic case: write the Wigner function
@@ -170,6 +194,21 @@ class TestOracleAgreement:
             z = radius * complex(math.cos(angle), math.sin(angle))
             assert abs(wigner_point_oracle(state, z) - wigner_point(state, z)) <= 1e-8
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(family=hs.sampled_from([HARM, PT]), r=hs.floats(0.0, 1.2),
+           theta=hs.floats(0.0, 2 * math.pi), m=hs.integers(0, 3),
+           parity=hs.sampled_from([EVEN, ODD]), radius=hs.floats(0.0, 2.0),
+           angle=hs.floats(0.0, 2 * math.pi))
+    def test_property_routes_agree_and_point_symmetry(self, family, r, theta, m, parity,
+                                                      radius, angle):
+        spec = SqueezeSpec(r, theta, m, parity)
+        assume(r > 0.0 or not spec.photons_removed)  # else the vacuum is annihilated
+        state = pssvs(family, spec)
+        z = radius * complex(math.cos(angle), math.sin(angle))
+        w = wigner_point(state, z)
+        assert abs(w - wigner_point_oracle(state, z)) <= 1e-8
+        assert abs(w - wigner_point(state, -z)) <= 1e-8
+
     def test_oracle_window_too_small(self):
         state = pssvs(PT, SqueezeSpec(1.0, 0.0, 1, EVEN))
         with pytest.raises(DimTooSmallError):
@@ -220,17 +259,35 @@ class TestGrid:
         with pytest.raises(ValueError):
             wigner_grid(state, (-2, 2), (-2, 2), 1)
 
-    def test_thread_count_does_not_change_values(self, monkeypatch):
-        # Whatever the pool size (one worker per CPU in the affinity set),
-        # each grid value is the very number wigner_point gives at its node.
+    def test_chunk_size_does_not_change_values(self, monkeypatch):
+        # Whatever the chunk (one point, seven points, the whole grid), each
+        # grid value is the very number wigner_point gives at its node,
+        # whether the node comes alone or in an array.
         state = pssvs(PT, SqueezeSpec(1.0, 0.0, 1, ODD))
-        for cpus in (1, 4):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                                raising=False)
+        reference = wigner_grid(state, (-2, 2), (-1.5, 1.5), (9, 7))
+        nodes = reference.x_axis[:, None] + 1j * reference.p_axis[None, :]
+        points = np.array([[wigner_point(state, complex(x, p)) for p in reference.p_axis]
+                           for x in reference.x_axis])
+        assert np.array_equal(reference.values, points)
+        for chunk_points in (1, 7, 9 * 7 + 1):
+            monkeypatch.setattr(gpssvs.wigner, "CHUNK_CELLS",
+                                chunk_points * state.truncation)
             grid = wigner_grid(state, (-2, 2), (-1.5, 1.5), (9, 7))
-            points = np.array([[wigner_point(state, complex(x, p)) for p in grid.p_axis]
-                               for x in grid.x_axis])
             assert np.array_equal(grid.values, points)
+            assert np.array_equal(wigner_point(state, nodes), points)
+
+    def test_memory_refusal(self, monkeypatch):
+        # A figure of 1 MiB stands in for a machine too small for the request;
+        # an unknown figure refuses nothing.
+        state = pssvs(PT, SqueezeSpec(1.0, 0.0, 1, EVEN))
+        monkeypatch.setattr(gpssvs.wigner, "_physical_memory", lambda: 1 << 20)
+        with pytest.raises(MemoryBudgetError):
+            wigner_grid(state, (-2, 2), (-2, 2), 400)
+        with pytest.raises(MemoryBudgetError):
+            wigner_point(state, np.zeros(100_000))
+        assert wigner_grid(state, (-2, 2), (-2, 2), 21).values.shape == (21, 21)
+        monkeypatch.setattr(gpssvs.wigner, "_physical_memory", lambda: None)
+        assert wigner_grid(state, (-2, 2), (-2, 2), 21).values.shape == (21, 21)
 
 
 class TestFileOutputs:
