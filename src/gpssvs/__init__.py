@@ -4,7 +4,9 @@ nonclassicality diagnostics.
 
 Closed-form Fock series live in :mod:`gpssvs.states` and
 :mod:`gpssvs.observables`; an independent dense-operator route in
-:mod:`gpssvs.oracle` backs the :mod:`gpssvs.verify` suite.  Every output
+:mod:`gpssvs.oracle` backs the :mod:`gpssvs.verify` suite.  Only the
+oracle routes use scipy, imported on their first call, so importing the
+package loads numpy alone.  Every output
 format (state, sweep, Wigner grid, verify report) is written by
 :mod:`gpssvs.writers`, which the CLI shares.
 """

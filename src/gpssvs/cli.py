@@ -4,7 +4,9 @@ Subcommands: ``state`` dumps coefficients, ``quadratures`` and
 ``number-squeezing`` run parameter sweeps, ``wigner`` evaluates a
 phase-space grid, ``verify`` runs the cross-module check suite.
 
-Exit codes: 0 success, 2 usage error (including an output path that
+Exit codes: 0 success (also when the reader of stdout closes the pipe
+early, as ``| head`` does, except that verify still reports its
+verdict), 2 usage error (including an output path that
 cannot be written), 3 domain failure (no convergence, annihilated state,
 oracle window too small, not enough memory), 4 verification failure.  All outputs
 are deterministic for fixed flags.  Every file is written by
@@ -14,6 +16,7 @@ file and a library file of the same result are byte-identical.
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -215,9 +218,18 @@ def _run_wigner(args, nl: Nonlinearity) -> int:
     return 0
 
 
+def _quiet_stdout() -> None:
+    """Point stdout at devnull once its reader is gone, so the flush at exit stays silent."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _run_verify(args) -> int:
     report = vf.run_suite(oracle_dim=args.oracle_dim, tol=args.tol, n_max=args.nmax)
-    writers.write_report(report, args.out)
+    try:
+        writers.write_report(report, args.out)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the report's reader is gone; the verdict still counts
+        _quiet_stdout()
     if not report.all_passed:
         failed = [c.name for c in report.checks if not c.passed]
         print(f"verification failed: {', '.join(sorted(set(failed)))}", file=sys.stderr)
@@ -225,19 +237,28 @@ def _run_verify(args) -> int:
     return 0
 
 
+def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    if args.subcommand == "verify":
+        return _run_verify(args)
+    nl = _nonlinearity(parser, args)
+    if args.subcommand == "state":
+        return _run_state(args, nl)
+    if args.subcommand in ("quadratures", "number-squeezing"):
+        return _run_sweep(args, nl)
+    if args.subcommand == "wigner":
+        return _run_wigner(args, nl)
+    parser.error(f"unknown subcommand {args.subcommand!r}")
+
+
 def run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     """Dispatch parsed arguments; returns the process exit code."""
     try:
-        if args.subcommand == "verify":
-            return _run_verify(args)
-        nl = _nonlinearity(parser, args)
-        if args.subcommand == "state":
-            return _run_state(args, nl)
-        if args.subcommand in ("quadratures", "number-squeezing"):
-            return _run_sweep(args, nl)
-        if args.subcommand == "wigner":
-            return _run_wigner(args, nl)
-        parser.error(f"unknown subcommand {args.subcommand!r}")
+        code = _dispatch(args, parser)
+        sys.stdout.flush()  # so a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader stopped early (``| head``): nothing is wrong
+        _quiet_stdout()
+        return 0
     except GpssvsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -7,12 +7,23 @@ f(n)! = f(1) f(2) ... f(n) overflows as a raw product near n ~ 150.
 
 Three kinds are supported: the harmonic limit f ≡ 1, the Pöschl-Teller
 well f(n) = sqrt(n + lambda + kappa), and a user-supplied positive table.
+
+The log-gamma values the series need are read from tables:
+``log_factorial`` (ln n!, one module table) and the Pöschl-Teller
+f-factorial (ln Γ(n + 1 + λ + κ) − ln Γ(1 + λ + κ), one table per
+Nonlinearity).  Each entry comes from ``math.lgamma`` on its own, never
+from a running sum of logs whose rounding would grow with n, so an entry
+does not depend on how far or in how many steps its table grew.  Tables
+double whenever a lookup passes their end; a negative index raises
+ValueError instead of wrapping around.  With ``xlogy`` this is all the
+special-function support the production routes use: they need numpy
+alone.
 """
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import TruncationError
 
@@ -41,13 +52,15 @@ class Nonlinearity:
         if self.kind == POSCHL_TELLER:
             if self.pt_lambda is None or self.pt_kappa is None:
                 raise ValueError("poschl_teller needs pt_lambda and pt_kappa")
-            if self.pt_lambda < 0.5 or self.pt_kappa < 0.5:
-                raise ValueError("poschl_teller requires pt_lambda >= 1/2 and pt_kappa >= 1/2")
+            if not all(0.5 <= v < math.inf for v in (self.pt_lambda, self.pt_kappa)):
+                raise ValueError("poschl_teller requires finite pt_lambda >= 1/2 "
+                                 "and pt_kappa >= 1/2")
+            object.__setattr__(self, "_log_gamma", _LogGammaTable(self.pt_sum))
         if self.kind == CUSTOM:
             if not self.custom_table:
                 raise ValueError("custom kind needs a nonempty table of f values")
-            if any(v <= 0 for v in self.custom_table):
-                raise ValueError("custom f values must all be positive")
+            if not all(0 < v < math.inf for v in self.custom_table):
+                raise ValueError("custom f values must all be positive and finite")
             # Cache cumulative log-products: entry j is ln f(1)...f(j).
             cum = np.concatenate([[0.0], np.cumsum(np.log(self.custom_table))])
             cum.flags.writeable = False
@@ -86,6 +99,65 @@ class Nonlinearity:
         return out
 
 
+class _LogGammaTable:
+    """ln Γ(j + 1 + shift) − ln Γ(1 + shift) for j = 0, 1, ..., grown on demand."""
+
+    INITIAL_SIZE = 256
+
+    def __init__(self, shift: float):
+        self.shift = float(shift)
+        self.values = self._entries(0, self.INITIAL_SIZE)
+
+    def _entries(self, start: int, stop: int) -> np.ndarray:
+        base = math.lgamma(1.0 + self.shift)
+        out = np.array([math.lgamma(j + 1.0 + self.shift) - base
+                        for j in range(start, stop)])
+        out.flags.writeable = False
+        return out
+
+    def lookup(self, n):
+        """Entries at the integer index (or index array) n >= 0.
+
+        The table is indexed directly and doubles only when that raises
+        IndexError, which keeps a lookup near the cost of numpy indexing.
+        """
+        n = _indices(n)
+        try:
+            return self.values[n]
+        except IndexError:
+            need, size = int(n.max()) + 1, len(self.values)
+            while size < need:
+                size *= 2
+            self.values = np.concatenate([self.values, self._entries(len(self.values), size)])
+            self.values.flags.writeable = False
+            return self.values[n]
+
+
+def _indices(n) -> np.ndarray:
+    """n as an integer array, refusing negatives (numpy would wrap them)."""
+    n = np.asarray(n)
+    if n.dtype.kind not in "iu":
+        raise TypeError(f"indices must be integers, not {n.dtype}")
+    # argmin is far cheaper than min() on the short arrays the series pass.
+    if n.size and n.ravel()[n.argmin()] < 0:
+        raise ValueError("n must be nonnegative")
+    return n
+
+
+_LOG_FACTORIAL = _LogGammaTable(0.0)
+
+
+def log_factorial(n):
+    """ln n! for an integer n >= 0 or an integer array of them."""
+    return _LOG_FACTORIAL.lookup(n)
+
+
+def xlogy(x, y):
+    """x ln y, taken as 0 wherever x = 0 (also at y = 0), without warnings."""
+    with np.errstate(divide="ignore"):
+        return x * np.log(np.where(x == 0, 1.0, y))
+
+
 def _check_custom_range(nl: Nonlinearity, n_max: int):
     table_len = len(nl.custom_table)
     if n_max > table_len:
@@ -96,14 +168,12 @@ def _check_custom_range(nl: Nonlinearity, n_max: int):
 
 
 def f_value_array(nl: Nonlinearity, n) -> np.ndarray:
-    """f(n) for an array of indices n >= 0.
+    """f(n) for an integer array of indices n >= 0.
 
     Custom tables take f(0) = 1 by convention; the value never enters a
     series because every f(n) occurrence is weighted by n or starts at 1.
     """
-    n = np.asarray(n)
-    if n.size and n.min() < 0:
-        raise ValueError("n must be nonnegative")
+    n = _indices(n)
     if nl.kind == HARMONIC:
         return np.ones(n.shape)
     if nl.kind == POSCHL_TELLER:
@@ -120,16 +190,13 @@ def f_value(nl: Nonlinearity, n: int) -> float:
 
 
 def log_f_factorial_array(nl: Nonlinearity, n) -> np.ndarray:
-    """ln[f(1) f(2) ... f(n)] for an array of indices; n = 0 gives 0."""
-    n = np.asarray(n)
-    if n.size and n.min() < 0:
-        raise ValueError("n must be nonnegative")
+    """ln[f(1) f(2) ... f(n)] for an integer array of indices; n = 0 gives 0."""
+    if nl.kind == POSCHL_TELLER:
+        # sum_{j=1..n} 0.5 ln(j+s) telescopes through the gamma function.
+        return 0.5 * nl._log_gamma.lookup(n)
+    n = _indices(n)
     if nl.kind == HARMONIC:
         return np.zeros(n.shape)
-    if nl.kind == POSCHL_TELLER:
-        s = nl.pt_sum
-        # sum_{j=1..n} 0.5 ln(j+s) telescopes through the gamma function.
-        return 0.5 * (gammaln(n + 1.0 + s) - gammaln(1.0 + s))
     if n.size:
         _check_custom_range(nl, int(n.max()))
     return nl._log_cum[np.asarray(n, dtype=np.int64)]

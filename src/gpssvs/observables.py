@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
-from .deform import Nonlinearity, POSCHL_TELLER, f_value, f_value_array, log_f_factorial_array
+from .deform import (Nonlinearity, POSCHL_TELLER, f_value, f_value_array,
+                     log_f_factorial_array, log_factorial)
 from .errors import (AnnihilatedStateError, ConvergenceError, DimTooSmallError,
                      InternalConsistencyError, TruncationError)
 from .logseries import adaptive_log_sum
@@ -66,51 +66,52 @@ def _moment_series(nl: Nonlinearity, spec: SqueezeSpec, tol: float,
     log_t2 = math.log(t / 2.0)
     m = spec.m
     lf = log_f_factorial_array
+    lfac = log_factorial
 
     if spec.parity == EVEN:
         def den(ns):
             k = m + ns
-            return (2 * k * log_t2 + 2 * gammaln(2 * k + 1) - 2 * gammaln(k + 1)
-                    - gammaln(2 * ns + 1) - 2 * lf(nl, 2 * ns))
+            return (2 * k * log_t2 + 2 * lfac(2 * k) - 2 * lfac(k)
+                    - lfac(2 * ns) - 2 * lf(nl, 2 * ns))
 
         def num_a2(ns):
             k = m + ns
-            return ((2 * k + 1) * log_t2 + gammaln(2 * k + 1) + gammaln(2 * k + 3)
-                    - gammaln(k + 1) - gammaln(k + 2)
-                    - gammaln(2 * ns + 1) - 2 * lf(nl, 2 * ns))
+            return ((2 * k + 1) * log_t2 + lfac(2 * k) + lfac(2 * k + 2)
+                    - lfac(k) - lfac(k + 1)
+                    - lfac(2 * ns) - 2 * lf(nl, 2 * ns))
 
         def num_aad(ns):
             k = m + ns
-            return (2 * k * log_t2 + 2 * gammaln(2 * k + 1) - 2 * gammaln(k + 1)
-                    - gammaln(2 * ns + 1) - 2 * lf(nl, 2 * ns)
+            return (2 * k * log_t2 + 2 * lfac(2 * k) - 2 * lfac(k)
+                    - lfac(2 * ns) - 2 * lf(nl, 2 * ns)
                     + np.log(2 * ns + 1.0) + 2.0 * np.log(f_value_array(nl, 2 * ns + 1)))
 
         def num_ada(ns):
             k = m + ns
-            return ((2 * k + 2) * log_t2 + 2 * gammaln(2 * k + 3) - 2 * gammaln(k + 2)
-                    - gammaln(2 * ns + 2) - 2 * lf(nl, 2 * ns + 1))
+            return ((2 * k + 2) * log_t2 + 2 * lfac(2 * k + 2) - 2 * lfac(k + 1)
+                    - lfac(2 * ns + 1) - 2 * lf(nl, 2 * ns + 1))
     else:
         def den(ns):
             k = m + ns
-            return ((2 * k + 2) * log_t2 + 2 * gammaln(2 * k + 3) - 2 * gammaln(k + 2)
-                    - gammaln(2 * ns + 2) - 2 * lf(nl, 2 * ns + 1))
+            return ((2 * k + 2) * log_t2 + 2 * lfac(2 * k + 2) - 2 * lfac(k + 1)
+                    - lfac(2 * ns + 1) - 2 * lf(nl, 2 * ns + 1))
 
         def num_a2(ns):
             k = m + ns
-            return ((2 * k + 3) * log_t2 + gammaln(2 * k + 3) + gammaln(2 * k + 5)
-                    - gammaln(k + 2) - gammaln(k + 3)
-                    - gammaln(2 * ns + 2) - 2 * lf(nl, 2 * ns + 1))
+            return ((2 * k + 3) * log_t2 + lfac(2 * k + 2) + lfac(2 * k + 4)
+                    - lfac(k + 1) - lfac(k + 2)
+                    - lfac(2 * ns + 1) - 2 * lf(nl, 2 * ns + 1))
 
         def num_aad(ns):
             k = m + ns
-            return ((2 * k + 2) * log_t2 + 2 * gammaln(2 * k + 3) - 2 * gammaln(k + 2)
-                    - gammaln(2 * ns + 2) - 2 * lf(nl, 2 * ns + 1)
+            return ((2 * k + 2) * log_t2 + 2 * lfac(2 * k + 2) - 2 * lfac(k + 1)
+                    - lfac(2 * ns + 1) - 2 * lf(nl, 2 * ns + 1)
                     + np.log(2 * ns + 2.0) + 2.0 * np.log(f_value_array(nl, 2 * ns + 2)))
 
         def num_ada(ns):
             k = m + ns
-            return ((2 * k + 2) * log_t2 + 2 * gammaln(2 * k + 3) - 2 * gammaln(k + 2)
-                    - gammaln(2 * ns + 1) - 2 * lf(nl, 2 * ns))
+            return ((2 * k + 2) * log_t2 + 2 * lfac(2 * k + 2) - 2 * lfac(k + 1)
+                    - lfac(2 * ns) - 2 * lf(nl, 2 * ns))
 
     log_den = adaptive_log_sum(den, tol, n_max).log_total
     log_a2 = adaptive_log_sum(num_a2, tol, n_max).log_total

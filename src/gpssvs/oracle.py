@@ -14,13 +14,17 @@ moves by more than TAIL_GUARD in amplitude.  Weight at the top of the
 basis is no such check: the generator is non-normal and A² grows like
 n² f(n)², so a window can hold 1e-4 of error in its interior while its
 edge carries no visible weight.
+
+scipy serves only the oracle routes: ``scipy.linalg.expm`` here and the
+Laguerre polynomials of ``wigner.displacement_columns``.  Both are
+imported on first use, so ``import gpssvs`` and the closed-form routes
+never load scipy.
 """
 
 from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.linalg import expm
 
 from .deform import Nonlinearity, f_value_array
 from .errors import AnnihilatedStateError, DimTooSmallError
@@ -91,6 +95,8 @@ def _exponential_vacuum(ws: OperatorWorkspace, zeta: complex) -> np.ndarray:
     The generator only couples |n> to |n ± 2>, so the vacuum never leaves
     the even levels and only that block of it is exponentiated.
     """
+    from scipy.linalg import expm
+
     a2 = ws.a_matrix @ ws.a_matrix
     bdag2 = ws.b_dagger_matrix @ ws.b_dagger_matrix
     gen = 0.5 * (np.conj(zeta) * a2 - zeta * bdag2)

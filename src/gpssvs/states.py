@@ -20,9 +20,8 @@ from functools import cached_property
 import math
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
-from .deform import Nonlinearity, f_value, log_f_factorial_array
+from .deform import Nonlinearity, f_value, log_f_factorial_array, log_factorial, xlogy
 from .errors import AnnihilatedStateError
 from .logseries import AdaptiveSum, adaptive_log_sum
 
@@ -154,15 +153,15 @@ def _log_weight_fn(nl: Nonlinearity, spec: SqueezeSpec):
     if spec.parity == EVEN:
         def logw(js: np.ndarray) -> np.ndarray:
             k = m + js
-            logc = (xlogy(k, t) - k * math.log(2.0) + gammaln(2 * k + 1)
-                    - gammaln(k + 1) - 0.5 * gammaln(2 * js + 1)
+            logc = (xlogy(k, t) - k * math.log(2.0) + log_factorial(2 * k)
+                    - log_factorial(k) - 0.5 * log_factorial(2 * js)
                     - log_f_factorial_array(nl, 2 * js))
             return 2.0 * logc
     else:
         def logw(js: np.ndarray) -> np.ndarray:
             kp = m + js + 1
-            logc = (xlogy(kp, t) - kp * math.log(2.0) + gammaln(2 * kp + 1)
-                    - gammaln(kp + 1) - 0.5 * gammaln(2 * js + 2)
+            logc = (xlogy(kp, t) - kp * math.log(2.0) + log_factorial(2 * kp)
+                    - log_factorial(kp) - 0.5 * log_factorial(2 * js + 1)
                     - log_f_factorial_array(nl, 2 * js + 1))
             return 2.0 * logc
     return logw
@@ -191,6 +190,11 @@ def _expansion_from_scan(nl: Nonlinearity, spec: SqueezeSpec, tol: float,
     )
 
 
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+
+
 def pssvs(nl: Nonlinearity, spec: SqueezeSpec, tol: float = DEFAULT_TOL,
           n_max: int = DEFAULT_N_MAX) -> FockExpansion:
     """Build a normalized generalized PSSVS from its closed-form series.
@@ -199,8 +203,7 @@ def pssvs(nl: Nonlinearity, spec: SqueezeSpec, tol: float = DEFAULT_TOL,
     and ConvergenceError when n_max retained terms cannot push the relative
     tail below tol.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     _require_subtractable(spec)
     if spec.r == 0.0:
         return _vacuum(nl, spec.theta, tol)
@@ -223,8 +226,7 @@ def coefficients_by_recursion(nl: Nonlinearity, r: float, theta: float,
     on the even ladder, seeded at C_0 = 1 and normalized afterwards.  An
     independent route to squeezed_vacuum used for cross-checking.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     if r < 0:
         raise ValueError("r must be nonnegative")
     spec = SqueezeSpec(r, theta, 0, EVEN)

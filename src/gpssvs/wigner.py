@@ -18,7 +18,8 @@ points at once (Clenshaw-style, as in Johansson, Nation & Nori, CPC 184,
 The oracle route never touches that reduction: it displaces the state and
 takes the parity expectation, W(z) = (2/π) Σ_k (-1)^k |<k|D(-z)|ψ>|²,
 with displacement matrix elements evaluated through scipy's Laguerre
-implementation.
+implementation.  scipy is imported there, on first use, so the closed form
+runs on numpy alone.
 """
 
 from dataclasses import dataclass
@@ -26,9 +27,8 @@ import math
 import os
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln, xlogy
 
-from .deform import Nonlinearity
+from .deform import Nonlinearity, log_factorial, xlogy
 from .errors import DimTooSmallError, InternalConsistencyError, MemoryBudgetError
 from .states import EVEN, FockExpansion, SqueezeSpec
 
@@ -116,7 +116,7 @@ class _WignerEvaluator:
         self.coeffs = state.coeffs
         self.conj_coeffs = np.conj(state.coeffs)
         self.alphas = 2.0 * np.arange(self.n)
-        self.log_norm = -0.5 * gammaln(self.alphas + 1.0)
+        self.log_norm = -0.5 * log_factorial(2 * np.arange(self.n))
 
     def _chunk_points(self) -> int:
         return max(1, CHUNK_CELLS // self.n)
@@ -231,13 +231,15 @@ def displacement_columns(delta: complex, photon_numbers: np.ndarray, dim: int,
         log_l = log_tab[lo, d_int]
         sign_l = sign_tab[lo, d_int].astype(float)
     else:
+        from scipy.special import eval_genlaguerre
+
         lag = eval_genlaguerre(lo, diff, x)
         if not np.all(np.isfinite(lag)):
             raise InternalConsistencyError("Laguerre overflow in displacement block")
         with np.errstate(divide="ignore"):
             log_l = np.log(np.abs(lag))
         sign_l = np.sign(lag)
-    log_mag = (0.5 * (gammaln(lo + 1.0) - gammaln(hi + 1.0))
+    log_mag = (0.5 * (log_factorial(lo) - log_factorial(hi))
                + xlogy(diff, abs(delta)) - 0.5 * x)
     log_abs = log_mag + log_l
     ang = math.atan2(delta.imag, delta.real)
@@ -309,8 +311,8 @@ class WignerGrid:
 def wigner_grid(state: FockExpansion, x_range, p_range, resolution) -> WignerGrid:
     """Evaluate W on the product grid and attach negativity metrics.
 
-    resolution is one node count for both axes or a (nx, np) pair, each at
-    least 2.  All nodes go through one evaluator in fixed-size chunks, so
+    The ranges must be finite, and resolution is one node count for both
+    axes or a (nx, np) pair, each at least 2.  All nodes go through one evaluator in fixed-size chunks, so
     each value is bit for bit wigner_point at its node.  A grid whose
     nodes, values and chunk would not fit in physical memory is refused
     up front (MemoryBudgetError); any point failure aborts the whole grid,
@@ -322,8 +324,11 @@ def wigner_grid(state: FockExpansion, x_range, p_range, resolution) -> WignerGri
         res_x, res_p = (int(v) for v in resolution)
     if res_x < 2 or res_p < 2:
         raise ValueError("resolution must be at least 2 nodes per axis")
-    x_axis = np.linspace(float(x_range[0]), float(x_range[1]), res_x)
-    p_axis = np.linspace(float(p_range[0]), float(p_range[1]), res_p)
+    (x_lo, x_hi), (p_lo, p_hi) = ((float(a), float(b)) for a, b in (x_range, p_range))
+    if not all(math.isfinite(v) for v in (x_lo, x_hi, p_lo, p_hi)):
+        raise ValueError("grid ranges must be finite")
+    x_axis = np.linspace(x_lo, x_hi, res_x)
+    p_axis = np.linspace(p_lo, p_hi, res_p)
     evaluator = _WignerEvaluator(state)
     evaluator.require_memory(res_x * res_p)
     nodes = np.empty((res_x, res_p), dtype=complex)

@@ -105,20 +105,23 @@ def write_wigner(grid, path, fmt: str = "csv") -> None:
     with open(path, "w", newline="") as fh:
         if fmt == "csv":
             fh.write("x,p,w\n")
-            for ix, xv in enumerate(grid.x_axis):
-                for ip, pv in enumerate(grid.p_axis):
-                    fh.write(f"{xv:.17g},{pv:.17g},{grid.values[ix, ip]:.17g}\n")
+            # Each axis node is formatted once; only w is formatted per cell.
+            p_text = [f"{pv:.17g}" for pv in grid.p_axis.tolist()]
+            for xv, row in zip(grid.x_axis.tolist(), grid.values):
+                x_text = f"{xv:.17g}"
+                fh.write("".join(f"{x_text},{pt},{w:.17g}\n"
+                                 for pt, w in zip(p_text, row.tolist())))
         elif fmt == "matrix":
             fh.write(f"# x {grid.x_axis[0]:.17g} {grid.x_axis[-1]:.17g} {grid.x_axis.size}\n")
             fh.write(f"# p {grid.p_axis[0]:.17g} {grid.p_axis[-1]:.17g} {grid.p_axis.size}\n")
-            for ix in range(grid.x_axis.size):
-                fh.write(" ".join(f"{v:.17g}" for v in grid.values[ix]))
+            for row in grid.values:
+                fh.write(" ".join(f"{v:.17g}" for v in row.tolist()))
                 fh.write("\n")
         else:
             payload = _sidecar_payload(grid)
-            payload["x"] = [float(v) for v in grid.x_axis]
-            payload["p"] = [float(v) for v in grid.p_axis]
-            payload["w"] = [[float(v) for v in row] for row in grid.values]
+            payload["x"] = grid.x_axis.tolist()
+            payload["p"] = grid.p_axis.tolist()
+            payload["w"] = grid.values.tolist()
             _dump_json(payload, fh, sort_keys=True)
     if fmt == "csv":
         with open(f"{path}.json", "w") as fh:

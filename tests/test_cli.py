@@ -6,6 +6,7 @@ import os
 from pathlib import Path
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -133,6 +134,21 @@ class TestExitCodes:
                          "--out", str(path)]) == 3
         assert "MiB" in capsys.readouterr().err
         assert not path.exists()
+
+
+    def test_closed_pipe_exits_quietly(self):
+        # Harmonic r = 3 holds about 3 800 rows, more than a 64 KiB pipe
+        # buffer, so the writer is still writing when the reader leaves.
+        assert gpssvs.squeezed_vacuum(gpssvs.Nonlinearity.harmonic(), 3.0, 0.0).truncation > 2000
+        proc = subprocess.Popen([sys.executable, "-m", "gpssvs", "state", "--r", "3"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=ENV)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert first == b"photon_number,re,im,prob\n"
+        assert err == b""
 
 
 class TestSweeps:
@@ -295,6 +311,32 @@ class TestSharedWriters:
         assert capsys.readouterr().out == ""
 
 
+class TestNumpyOnlyPath:
+    def test_production_runs_do_not_load_scipy(self, tmp_path):
+        # In a fresh interpreter: the tests themselves import scipy.
+        code = textwrap.dedent(f"""
+            import contextlib, io, json, sys
+            import gpssvs
+            from gpssvs import cli
+            runs = [["state", "--r", "0.5", "--m", "1"],
+                    ["quadratures", "--f", "poschl-teller", "--r", "1.2", "--sweep", "m=0:2:3"],
+                    ["number-squeezing", "--parity", "odd", "--sweep", "r=0.2:1:3"],
+                    ["wigner", "--f", "poschl-teller", "--r", "1", "--m", "1",
+                     "--grid=-2:2:5", "--out", {str(tmp_path / "w.csv")!r}]]
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes = [cli.main(argv) for argv in runs]
+            loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            verify = cli.main(["verify", "--out", {str(tmp_path / "v.json")!r}])
+            print(json.dumps({{"codes": codes, "scipy": loaded, "verify": verify}}))
+        """)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env=ENV)
+        assert out.returncode == 0, out.stderr
+        result = json.loads(out.stdout)
+        assert result == {"codes": [0, 0, 0, 0], "scipy": [], "verify": 0}
+        assert json.loads((tmp_path / "v.json").read_text())["all_passed"] is True
+
+
 class TestVerify:
     def test_default_suite_passes(self, tmp_path):
         path = tmp_path / "report.json"
@@ -305,6 +347,15 @@ class TestVerify:
         assert all(c["passed"] for c in report["checks"])
         names = {c["name"] for c in report["checks"]}
         assert "squeeze-two-path" in names and "wigner-two-path" in names
+
+    def test_closed_pipe_keeps_the_verdict(self):
+        proc = subprocess.Popen([sys.executable, "-m", "gpssvs", "verify", "--oracle-dim", "10"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=ENV)
+        proc.stdout.close()  # gone before the report is written
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 4
+        assert err.startswith("verification failed") and "Broken pipe" not in err
 
     def test_small_oracle_dim_flags_truncation_failures(self):
         out = run_cli("verify", "--oracle-dim", "10")

@@ -1,18 +1,25 @@
 """Deformation functions: values, factorials, commutator weights, validation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from gpssvs import Nonlinearity, TruncationError
 from gpssvs.deform import (
+    _LogGammaTable,
     commutator_weight,
     f_value,
     f_value_array,
     log_f_factorial,
     log_f_factorial_array,
+    log_factorial,
+    xlogy,
 )
+
+EPS = np.finfo(float).eps
 
 
 def test_harmonic_is_identity():
@@ -60,6 +67,13 @@ def test_custom_table_range_exceeded():
         log_f_factorial(nl, 5)
 
 
+@pytest.mark.parametrize("lam,kappa", [(math.nan, 1.5), (1.5, math.nan), (math.inf, 1.5)])
+def test_poschl_teller_rejects_non_finite(lam, kappa):
+    # NaN passes every comparison-based check, so it needs its own.
+    with pytest.raises(ValueError, match="finite"):
+        Nonlinearity.poschl_teller(lam, kappa)
+
+
 def test_custom_table_validation():
     with pytest.raises(ValueError):
         Nonlinearity.custom([])
@@ -67,6 +81,70 @@ def test_custom_table_validation():
         Nonlinearity.custom([1.0, -2.0])
     with pytest.raises(ValueError):
         Nonlinearity.custom([1.0, 0.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_custom_table_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Nonlinearity.custom([1.0, bad, 2.0])
+
+
+class TestLogGammaTables:
+    N = np.arange(300_000)
+
+    def test_log_factorial_matches_scipy(self):
+        ours, ref = log_factorial(self.N), gammaln(self.N + 1.0)
+        assert ours[0] == ours[1] == 0.0
+        assert np.all(np.abs(ours - ref) <= 4 * EPS * np.abs(ref))
+
+    @pytest.mark.parametrize("lam,kappa", [(1.5, 1.5), (0.7, 2.2), (0.5, 0.5)])
+    def test_poschl_teller_table_matches_scipy(self, lam, kappa):
+        s = lam + kappa
+        ours = 2.0 * log_f_factorial_array(Nonlinearity.poschl_teller(lam, kappa), self.N)
+        top, base = gammaln(self.N + 1.0 + s), gammaln(1.0 + s)
+        # The entry is a difference of two log-gammas: 4 ulp of the larger.
+        scale = np.maximum(np.abs(top), abs(base))
+        assert ours[0] == 0.0
+        assert np.all(np.abs(ours - (top - base)) <= 4 * EPS * scale)
+
+    @pytest.mark.parametrize("shift", [0.0, 3.0, 2.9])
+    def test_growth_path_does_not_change_entries(self, shift):
+        one_step, steps = _LogGammaTable(shift), _LogGammaTable(shift)
+        one_step.lookup(5000)
+        for n in (300, np.array([700, 2]), 1500, 4097, 5000):
+            steps.lookup(n)
+        assert len(one_step.values) == len(steps.values) > 5000
+        assert one_step.values.tobytes() == steps.values.tobytes()
+        if shift == 0.0:
+            assert np.array_equal(log_factorial(np.arange(5001)), one_step.values[:5001])
+
+    def test_lookup_shapes(self):
+        assert log_factorial(3) == pytest.approx(math.log(6.0), rel=1e-15)
+        assert log_factorial(np.arange(6).reshape(2, 3)).shape == (2, 3)
+        assert log_factorial(np.array([], dtype=np.int64)).shape == (0,)
+
+    @pytest.mark.parametrize("n", [-1, np.array([3, -1]), np.array([[0], [-7]])])
+    def test_negative_index_raises(self, n):
+        nl = Nonlinearity.poschl_teller()
+        with pytest.raises(ValueError, match="nonnegative"):
+            log_factorial(n)
+        with pytest.raises(ValueError, match="nonnegative"):
+            log_f_factorial_array(nl, n)
+        with pytest.raises(ValueError, match="nonnegative"):
+            f_value_array(nl, n)
+
+    def test_non_integer_index_raises(self):
+        with pytest.raises(TypeError):
+            log_factorial(np.array([1.0, 2.0]))
+
+    def test_xlogy_zero_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert xlogy(0, 0) == 0.0
+            assert xlogy(0.0, 0.0) == 0.0
+            out = xlogy(np.array([0.0, 2.0, 3.0]), np.array([0.0, 0.0, 2.0]))
+        assert out[0] == 0.0 and out[1] == -math.inf
+        assert out[2] == 3.0 * math.log(2.0)
 
 
 def test_commutator_weight_harmonic_is_one():

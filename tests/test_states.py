@@ -128,6 +128,11 @@ class TestPssvs:
         assert state.photon_numbers[0] == 1
         assert abs(state.coeffs[0]) == pytest.approx(1.0, abs=1e-12)
 
+    def test_nan_tolerance_rejected(self):
+        # tol <= 0 is false for NaN, which used to run n_max terms.
+        with pytest.raises(ValueError, match="tol"):
+            pssvs(Nonlinearity.poschl_teller(), SqueezeSpec(0.5), tol=math.nan)
+
     def test_deformation_shortens_support(self):
         # PT weights carry an extra 1/f(n)!^2, so the series cuts earlier.
         harm = pssvs(Nonlinearity.harmonic(), SqueezeSpec(1.5))
@@ -153,6 +158,10 @@ class TestPssvs:
 
 
 class TestRecursion:
+    def test_nan_tolerance_rejected(self):
+        with pytest.raises(ValueError, match="tol"):
+            coefficients_by_recursion(Nonlinearity.harmonic(), 0.5, 0.0, tol=math.nan)
+
     @pytest.mark.parametrize("nl", [Nonlinearity.harmonic(),
                                     Nonlinearity.poschl_teller(1.5, 1.5)],
                              ids=["harmonic", "pt"])

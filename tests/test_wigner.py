@@ -259,6 +259,14 @@ class TestGrid:
         with pytest.raises(ValueError):
             wigner_grid(state, (-2, 2), (-2, 2), 1)
 
+    @pytest.mark.parametrize("x_range,p_range", [((math.nan, 1.0), (-1.0, 1.0)),
+                                                 ((-1.0, 1.0), (-1.0, math.inf))])
+    def test_non_finite_range_rejected(self, x_range, p_range):
+        # A NaN range used to give an all-NaN grid and a bare NaN in the sidecar.
+        state = squeezed_vacuum(PT, 0.5, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            wigner_grid(state, x_range, p_range, 3)
+
     def test_chunk_size_does_not_change_values(self, monkeypatch):
         # Whatever the chunk (one point, seven points, the whole grid), each
         # grid value is the very number wigner_point gives at its node,
