@@ -9,6 +9,15 @@ rule used everywhere: keep adding terms until the geometric tail estimate
 
 drops below ``tol`` relative to the running sum, where w_N is the first
 discarded term.  The retained-term count is capped at ``n_max``.
+
+The scan works one block of weights at a time.  Array operations give
+the running sums (``np.logaddexp.accumulate``, the same chain of roundings
+as adding one term at a time) and locate the first indices that could end
+the series, with a margin for the last-ulp differences between numpy's
+vectorized ``exp``/``log1p`` and ``math``'s.  The scalar rule then
+confirms or rejects each of those indices with ``math`` calls, so the
+retained count, the tail estimate and every error are those of a scan
+that adds one term at a time.
 """
 
 from dataclasses import dataclass
@@ -19,6 +28,8 @@ import numpy as np
 from .errors import ConvergenceError, TruncationError
 
 _LOG_EPS = -745.0  # weight relative to the running sum below exp() underflow: zero
+_FIRST_BLOCK = 64  # blocks double from here, so a scan makes O(log N) calls
+_SLACK = 1e-12     # relative margin of the array tail test over the scalar one
 
 
 @dataclass(frozen=True)
@@ -47,12 +58,36 @@ def _compensated_log_total(logs: np.ndarray) -> float:
     return peak + math.log(math.fsum(np.exp(logs - peak)))
 
 
-def adaptive_log_sum(log_weight, tol: float, n_max: int, block: int = 64) -> AdaptiveSum:
+def _tail(w: float, prev: float, log_run: float) -> tuple[float, float]:
+    """Scalar geometric tail at a term below its predecessor: (log tail, relative tail)."""
+    rho = math.exp(w - prev)
+    log_tail = w - math.log1p(-rho)
+    return log_tail, math.exp(min(log_tail - log_run, 700.0))
+
+
+def _ends_series(w: float, prev: float, log_run: float, log_tol: float):
+    """The scalar rule at one term: its relative tail if discarding from it is accepted, else None."""
+    if w - log_run < _LOG_EPS:
+        return 0.0
+    if w - prev < 0.0:
+        log_tail, tail_rel = _tail(w, prev, log_run)
+        if log_tail < log_tol + log_run:
+            return tail_rel
+    return None
+
+
+def adaptive_log_sum(log_weight, tol: float, n_max: int) -> AdaptiveSum:
     """Sum a positive series until the geometric tail estimate is below tol.
 
     log_weight: callable mapping an int64 index array to log-weight array;
     -inf entries denote exact zeros.  Returns an AdaptiveSum whose
     ``n_terms`` is the smallest N accepted by the tail rule.
+
+    Weights are requested in blocks of doubling length, at most n_max + 1
+    indices in all; the decision at each index is the one-term-at-a-time
+    rule (see the module docstring).  When a block raises TruncationError
+    (a finite deformation table), the rest of the scan requests one index
+    at a time, so only indices the scan reaches may raise.
 
     Raises ConvergenceError when n_max retained terms do not suffice; the
     exception carries the last relative tail estimate.
@@ -63,59 +98,58 @@ def adaptive_log_sum(log_weight, tol: float, n_max: int, block: int = 64) -> Ada
         raise ValueError("n_max must be at least 1")
     log_tol = math.log(tol)
 
-    logs: list[float] = []
+    blocks: list[np.ndarray] = []
+    start = 0
+    single = False
+    log_run = prev = None
+    last_drop = None  # (w, prev, log_run) at the last term below its predecessor
+    while start <= n_max:
+        stop = min(start + (1 if single else max(_FIRST_BLOCK, start)), n_max + 1)
+        idx = np.arange(start, stop, dtype=np.int64)
+        try:
+            w = np.asarray(log_weight(idx), dtype=float)
+        except TruncationError:
+            if single:
+                raise
+            single = True
+            continue
+        blocks.append(w)
+        if start == 0:
+            if w[0] == -math.inf:
+                # Zero leading weight: by construction the callers' series then
+                # vanish identically; retain the single structural term.
+                return AdaptiveSum(1, np.array([-math.inf]), -math.inf, 0.0)
+            log_run = prev = float(w[0])
+            w = w[1:]
+        first = stop - w.size  # index of w[0]
+        with np.errstate(all="ignore"):
+            runs = np.logaddexp.accumulate(np.concatenate(([log_run], w)))
+            before = runs[:-1]  # running sum before each term
+            prevs = np.concatenate(([prev], w[:-1]))
+            log_rho = w - prevs
+            drop = log_rho < 0.0
+            rho = np.exp(log_rho)
+            log_tail = w - np.log1p(-rho)
+            slack = _SLACK * (1.0 + np.abs(w) + np.abs(log_tail) + 1.0 / (1.0 - rho))
+            maybe = (w - before < _LOG_EPS) | (drop & ~(log_tail - slack >= log_tol + before))
+        for k in np.flatnonzero(maybe).tolist():
+            tail_rel = _ends_series(float(w[k]), float(prevs[k]), float(before[k]), log_tol)
+            if tail_rel is not None:
+                n = first + k
+                kept = np.concatenate(blocks)[:n]
+                kept.flags.writeable = False
+                return AdaptiveSum(n, kept, _compensated_log_total(kept), tail_rel)
+        drops = np.flatnonzero(drop)
+        if drops.size:
+            k = int(drops[-1])
+            last_drop = (float(w[k]), float(prevs[k]), float(before[k]))
+        if w.size:
+            log_run, prev = runs[-1], float(w[-1])
+        start = stop
 
-    def fetch(j: int) -> float:
-        while j >= len(logs):
-            start = len(logs)
-            count = max(block, j - start + 1)
-            idx = np.arange(start, start + count, dtype=np.int64)
-            try:
-                vals = np.asarray(log_weight(idx), dtype=float)
-            except TruncationError:
-                # Block prefetch probed past a finite deformation table.
-                # Only the indices the scan actually reaches may raise, so
-                # retry one at a time up to the requested index.
-                vals = np.asarray([log_weight(np.array([i], dtype=np.int64))[0]
-                                   for i in range(start, j + 1)], dtype=float)
-            logs.extend(vals.tolist())
-        return logs[j]
-
-    w0 = fetch(0)
-    if w0 == -math.inf:
-        # Zero leading weight: by construction the callers' series then vanish
-        # identically; retain the single structural term.
-        return AdaptiveSum(1, np.array([-math.inf]), -math.inf, 0.0)
-
-    log_run = w0     # log of running retained sum
-    prev = w0        # log of last retained weight
-    last_tail_rel = math.inf
-    j = 1
-    while j <= n_max:
-        w = fetch(j)
-        # Candidate: discard from index j onwards.
-        if w - log_run < _LOG_EPS:
-            accepted = j
-            last_tail_rel = 0.0
-            break
-        log_rho = w - prev
-        if log_rho < 0.0:
-            rho = math.exp(log_rho)
-            log_tail = w - math.log1p(-rho)
-            last_tail_rel = math.exp(min(log_tail - log_run, 700.0))
-            if log_tail < log_tol + log_run:
-                accepted = j
-                break
-        log_run = np.logaddexp(log_run, w)
-        prev = w
-        j += 1
-    else:
-        raise ConvergenceError(
-            f"series tail {last_tail_rel:.3e} still above tol {tol:.3e} "
-            f"after {n_max} retained terms",
-            achieved_tail=last_tail_rel,
-        )
-
-    kept = np.array(logs[:accepted], dtype=float)
-    kept.flags.writeable = False
-    return AdaptiveSum(accepted, kept, _compensated_log_total(kept), last_tail_rel)
+    last_tail_rel = math.inf if last_drop is None else _tail(*last_drop)[1]
+    raise ConvergenceError(
+        f"series tail {last_tail_rel:.3e} still above tol {tol:.3e} "
+        f"after {n_max} retained terms",
+        achieved_tail=last_tail_rel,
+    )

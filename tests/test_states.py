@@ -2,6 +2,7 @@
 
 import math
 
+from hypothesis import given, settings, strategies as hs
 import numpy as np
 import pytest
 from scipy.special import gammaln
@@ -150,11 +151,49 @@ class TestPssvs:
         state = pssvs(nl, SqueezeSpec(0.4, 0.3, 1, EVEN))
         assert np.isclose(state.probabilities.sum(), 1.0, atol=1e-12)
 
+    @staticmethod
+    def sine_table(length):
+        return Nonlinearity.custom([1.0 + 0.1 * math.sin(k) for k in range(1, length + 1)])
+
+    def test_custom_table_covering_first_discarded_term(self):
+        # N = 17 even terms reach |32>, and the first discarded one needs f(34):
+        # a 34-entry table suffices, and the scan asks for nothing beyond it.
+        spec = SqueezeSpec(0.4, 0.3, 1, EVEN)
+        state = pssvs(self.sine_table(34), spec)
+        assert state.truncation == 17
+        assert state.tail_bound == pssvs(self.sine_table(199), spec).tail_bound
+
+    @pytest.mark.parametrize("length", [32, 33])
+    def test_custom_table_one_entry_short(self, length):
+        with pytest.raises(TruncationError) as err:
+            pssvs(self.sine_table(length), SqueezeSpec(0.4, 0.3, 1, EVEN))
+        assert err.value.required == 34
+
     def test_custom_table_too_short(self):
         nl = Nonlinearity.custom([1.0, 1.0, 1.0])
         with pytest.raises(TruncationError) as err:
             pssvs(nl, SqueezeSpec(2.0))
         assert err.value.required is not None
+
+
+FAMILIES = (Nonlinearity.harmonic(), Nonlinearity.poschl_teller(1.5, 1.5),
+            Nonlinearity.poschl_teller(0.7, 2.2))
+
+
+class TestProperties:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(nl=hs.sampled_from(FAMILIES), r=hs.floats(0.0, 4.0, exclude_min=True),
+           theta=hs.floats(0.0, 2 * math.pi), m=hs.integers(0, 4),
+           parity=hs.sampled_from([EVEN, ODD]))
+    def test_normalized_on_one_parity(self, nl, r, theta, m, parity):
+        state = pssvs(nl, SqueezeSpec(r, theta, m, parity))
+        assert math.isclose(math.fsum(state.probabilities), 1.0, abs_tol=1e-12)
+        assert state.parity == parity
+        vec = state.dense()
+        residue = 0 if parity == EVEN else 1
+        assert np.all(state.photon_numbers % 2 == residue)
+        assert not np.any(vec[1 - residue::2])
+        assert np.all(vec[state.photon_numbers] == state.coeffs)
 
 
 class TestRecursion:
