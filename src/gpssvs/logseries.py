@@ -61,6 +61,8 @@ def _compensated_log_total(logs: np.ndarray) -> float:
 def _tail(w: float, prev: float, log_run: float) -> tuple[float, float]:
     """Scalar geometric tail at a term below its predecessor: (log tail, relative tail)."""
     rho = math.exp(w - prev)
+    if rho == 1.0:  # no geometric tail: the term cannot end the series
+        return math.inf, math.inf
     log_tail = w - math.log1p(-rho)
     return log_tail, math.exp(min(log_tail - log_run, 700.0))
 

@@ -6,6 +6,9 @@ PSSVS coefficients induce (positive terms, summed in log space); the
 distribution route weighs the number-diagonal matrix elements with the
 state's photon probabilities.  Their agreement validates both.
 
+The closed-form series reuse the family weight of ``states``: with Z_q the
+unnormalized weight sum of member q, ⟨A†A⟩_q = Z_{q+1}/Z_q (A maps ψ_q to ψ_{q+1}).
+
 Quadratures are X = (A + A†)/√2 and P = (A − A†)/(i√2), and a variance
 counts as squeezed when it drops below the Robertson bound evaluated in
 the same state: ½|⟨AA†⟩ − ⟨A†A⟩| (squared-units comparison).
@@ -21,8 +24,8 @@ from .deform import (Nonlinearity, POSCHL_TELLER, f_value, f_value_array,
 from .errors import (AnnihilatedStateError, ConvergenceError, DimTooSmallError,
                      InternalConsistencyError, TruncationError)
 from .logseries import adaptive_log_sum
-from .states import (DEFAULT_N_MAX, DEFAULT_TOL, EVEN, FockExpansion,
-                     SqueezeSpec, pssvs)
+from .states import (DEFAULT_N_MAX, DEFAULT_TOL, FockExpansion, SqueezeSpec,
+                     _family_log_weight, pssvs)
 
 SWEEP_QUANTITIES = ("var_x", "var_p", "robertson_rhs", "n_squeeze", "mandel_q")
 
@@ -64,59 +67,25 @@ def _moment_series(nl: Nonlinearity, spec: SqueezeSpec, tol: float,
     """Evaluate the four positive series and assemble the three moments."""
     t = math.tanh(spec.r)
     log_t2 = math.log(t / 2.0)
-    m = spec.m
-    lf = log_f_factorial_array
-    lfac = log_factorial
+    q = spec.photons_removed
+    s = q % 2
+    den = _family_log_weight(nl, t, q)
 
-    if spec.parity == EVEN:
-        def den(ns):
-            k = m + ns
-            return (2 * k * log_t2 + 2 * lfac(2 * k) - 2 * lfac(k)
-                    - lfac(2 * ns) - 2 * lf(nl, 2 * ns))
+    def num_a2(js):
+        n = 2 * js + s
+        k = (q + n) // 2
+        return ((2 * k + 1) * log_t2 + log_factorial(2 * k) + log_factorial(2 * k + 2)
+                - log_factorial(k) - log_factorial(k + 1)
+                - log_factorial(n) - 2 * log_f_factorial_array(nl, n))
 
-        def num_a2(ns):
-            k = m + ns
-            return ((2 * k + 1) * log_t2 + lfac(2 * k) + lfac(2 * k + 2)
-                    - lfac(k) - lfac(k + 1)
-                    - lfac(2 * ns) - 2 * lf(nl, 2 * ns))
-
-        def num_aad(ns):
-            k = m + ns
-            return (2 * k * log_t2 + 2 * lfac(2 * k) - 2 * lfac(k)
-                    - lfac(2 * ns) - 2 * lf(nl, 2 * ns)
-                    + np.log(2 * ns + 1.0) + 2.0 * np.log(f_value_array(nl, 2 * ns + 1)))
-
-        def num_ada(ns):
-            k = m + ns
-            return ((2 * k + 2) * log_t2 + 2 * lfac(2 * k + 2) - 2 * lfac(k + 1)
-                    - lfac(2 * ns + 1) - 2 * lf(nl, 2 * ns + 1))
-    else:
-        def den(ns):
-            k = m + ns
-            return ((2 * k + 2) * log_t2 + 2 * lfac(2 * k + 2) - 2 * lfac(k + 1)
-                    - lfac(2 * ns + 1) - 2 * lf(nl, 2 * ns + 1))
-
-        def num_a2(ns):
-            k = m + ns
-            return ((2 * k + 3) * log_t2 + lfac(2 * k + 2) + lfac(2 * k + 4)
-                    - lfac(k + 1) - lfac(k + 2)
-                    - lfac(2 * ns + 1) - 2 * lf(nl, 2 * ns + 1))
-
-        def num_aad(ns):
-            k = m + ns
-            return ((2 * k + 2) * log_t2 + 2 * lfac(2 * k + 2) - 2 * lfac(k + 1)
-                    - lfac(2 * ns + 1) - 2 * lf(nl, 2 * ns + 1)
-                    + np.log(2 * ns + 2.0) + 2.0 * np.log(f_value_array(nl, 2 * ns + 2)))
-
-        def num_ada(ns):
-            k = m + ns
-            return ((2 * k + 2) * log_t2 + 2 * lfac(2 * k + 2) - 2 * lfac(k + 1)
-                    - lfac(2 * ns) - 2 * lf(nl, 2 * ns))
+    def num_aad(js):
+        n = 2 * js + s
+        return den(js) + np.log(n + 1.0) + 2.0 * np.log(f_value_array(nl, n + 1))
 
     log_den = adaptive_log_sum(den, tol, n_max).log_total
     log_a2 = adaptive_log_sum(num_a2, tol, n_max).log_total
     log_aad = adaptive_log_sum(num_aad, tol, n_max).log_total
-    log_ada = adaptive_log_sum(num_ada, tol, n_max).log_total
+    log_ada = adaptive_log_sum(_family_log_weight(nl, t, q + 1), tol, n_max).log_total
 
     phase = complex(np.exp(1j * spec.theta))
     exp_a2 = -phase * math.exp(log_a2 - log_den)

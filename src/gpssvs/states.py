@@ -1,18 +1,17 @@
 """Fock-basis construction of generalized squeezed vacuum and PSSVS.
 
-A squeezed vacuum of a deformed oscillator lives on even Fock numbers:
+Member q of the photon-subtracted squeezed vacuum family (PSSVS) is the
+squeezed vacuum of a deformed oscillator with q photons removed by the
+deformed annihilation operator A, so A|ψ_q> ∝ |ψ_{q+1}>.  Its support is
+the Fock ladder n ≡ q (mod 2), and with k = (q + n)/2 the coefficient on
+|n> is
 
-    c_n ∝ (-1)^n e^{inθ} tanh^n(r) sqrt((2n)!) / (2^n n! f(2n)!)
+    c_n ∝ (-e^{iθ} tanh r)^k (2k)! / (2^k k! sqrt(n!) f(n)!).
 
-Subtracting photons with the deformed annihilation operator A gives the
-photon-subtracted squeezed vacuum states (PSSVS).  Removing 2m photons
-keeps the state even with c on |2n> proportional to
-
-    (-tanh r)^k e^{ikθ} (2k)! / (2^k k! sqrt((2n)!) f(2n)!),   k = m+n,
-
-while removing 2m+1 photons gives odd support |2n+1> with k' = m+n+1 and
-odd-index factorials.  Magnitudes are handled entirely in log space; the
-global phase is fixed so the leading coefficient is real and positive.
+q = 0 is the squeezed vacuum itself; q = 2m keeps the state even and
+q = 2m + 1 makes it odd.  Magnitudes are handled entirely in log space;
+the global phase is fixed so the leading coefficient is real and
+positive.
 """
 
 from dataclasses import dataclass
@@ -146,24 +145,19 @@ def _vacuum(nl: Nonlinearity, theta: float, tol: float) -> FockExpansion:
     )
 
 
-def _log_weight_fn(nl: Nonlinearity, spec: SqueezeSpec):
-    """Log of the unnormalized |c_j|² for the PSSVS series of spec."""
-    t = math.tanh(spec.r)
-    m = spec.m
-    if spec.parity == EVEN:
-        def logw(js: np.ndarray) -> np.ndarray:
-            k = m + js
-            logc = (xlogy(k, t) - k * math.log(2.0) + log_factorial(2 * k)
-                    - log_factorial(k) - 0.5 * log_factorial(2 * js)
-                    - log_f_factorial_array(nl, 2 * js))
-            return 2.0 * logc
-    else:
-        def logw(js: np.ndarray) -> np.ndarray:
-            kp = m + js + 1
-            logc = (xlogy(kp, t) - kp * math.log(2.0) + log_factorial(2 * kp)
-                    - log_factorial(kp) - 0.5 * log_factorial(2 * js + 1)
-                    - log_f_factorial_array(nl, 2 * js + 1))
-            return 2.0 * logc
+def _family_log_weight(nl: Nonlinearity, t: float, removed: int):
+    """Log of the unnormalized |c_n|² of the member with ``removed`` photons
+    subtracted, t = tanh r, as a function of the ladder index j: n = 2j + s,
+    s = removed mod 2."""
+    s = removed % 2
+
+    def logw(js: np.ndarray) -> np.ndarray:
+        n = 2 * js + s
+        k = (removed + n) // 2
+        logc = (xlogy(k, t) - k * math.log(2.0) + log_factorial(2 * k)
+                - log_factorial(k) - 0.5 * log_factorial(n)
+                - log_f_factorial_array(nl, n))
+        return 2.0 * logc
     return logw
 
 
@@ -207,7 +201,8 @@ def pssvs(nl: Nonlinearity, spec: SqueezeSpec, tol: float = DEFAULT_TOL,
     _require_subtractable(spec)
     if spec.r == 0.0:
         return _vacuum(nl, spec.theta, tol)
-    scan = adaptive_log_sum(_log_weight_fn(nl, spec), tol, n_max)
+    logw = _family_log_weight(nl, math.tanh(spec.r), spec.photons_removed)
+    scan = adaptive_log_sum(logw, tol, n_max)
     return _expansion_from_scan(nl, spec, tol, scan)
 
 

@@ -161,13 +161,12 @@ def run_suite(oracle_dim: int = DEFAULT_ORACLE_DIM, tol: float = st.DEFAULT_TOL,
                         for parity in (st.EVEN, st.ODD):
                             spec = st.SqueezeSpec(r, theta, m, parity)
                             state = st.pssvs(nl, spec, tol=tight, n_max=n_max)
-                            a2, ada, aad = obs.expectation_moments(state, n_max=n_max)
+                            quad = obs.quadrature_report(state, n_max=n_max)
                             d_ada, d_aad, _, _ = obs.moments_from_distribution(state)
                             moment_worst = max(
                                 moment_worst,
-                                abs(ada - d_ada) / max(1.0, abs(d_ada)),
-                                abs(aad - d_aad) / max(1.0, abs(d_aad)))
-                            quad = obs.quadrature_report(state, n_max=n_max)
+                                abs(quad.exp_AdA - d_ada) / max(1.0, abs(d_ada)),
+                                abs(quad.exp_AAd - d_aad) / max(1.0, abs(d_aad)))
                             gap = (quad.robertson_rhs
                                    - math.sqrt(quad.var_x * quad.var_p))
                             robertson_worst = max(robertson_worst, gap)
@@ -288,7 +287,8 @@ def run_suite(oracle_dim: int = DEFAULT_ORACLE_DIM, tol: float = st.DEFAULT_TOL,
         spec = st.SqueezeSpec(1.0)
         n_sel = st.pssvs(nl, spec, tol=1e-14, n_max=n_max).truncation
         # Appending one more term must change the retained norm by < 1e-14.
-        logw = st._log_weight_fn(nl, spec)(np.arange(n_sel + 1))
+        logw = st._family_log_weight(nl, math.tanh(spec.r), spec.photons_removed)(
+            np.arange(n_sel + 1))
         total_n = np.exp(logw[:n_sel] - logw.max()).sum()
         extra = np.exp(logw[n_sel] - logw.max())
         checks.append(_result(name, domain, extra / total_n, max(1e-13, 10.0 * tol)))

@@ -153,8 +153,12 @@ def scalar_log_sum(log_weight, tol, n_max, block=64):
         log_rho = w - prev
         if log_rho < 0.0:
             rho = math.exp(log_rho)
-            log_tail = w - math.log1p(-rho)
-            last_tail_rel = math.exp(min(log_tail - log_run, 700.0))
+            if rho == 1.0:
+                # No geometric tail: the term cannot end the series.
+                log_tail = last_tail_rel = math.inf
+            else:
+                log_tail = w - math.log1p(-rho)
+                last_tail_rel = math.exp(min(log_tail - log_run, 700.0))
             if log_tail < log_tol + log_run:
                 accepted = j
                 break
@@ -225,8 +229,6 @@ def test_property_matches_scalar_scan(series, tol, n_max):
                 outcomes.append(scan(log_weight, tol, n_max))
         except ConvergenceError as err:
             outcomes.append((str(err), repr(err.achieved_tail)))
-        except ValueError as err:  # math.log1p(-1.0): a ratio that rounds to 1
-            outcomes.append((type(err), str(err)))
     want, got = outcomes
     if isinstance(want, tuple):
         assert got == want
@@ -237,6 +239,18 @@ def test_property_matches_scalar_scan(series, tol, n_max):
     assert repr(got.log_total) == repr(want.log_total)
     assert got.log_weights.tobytes() == want.log_weights.tobytes()
     assert got.log_weights.flags.writeable == want.log_weights.flags.writeable
+
+
+def test_ratio_rounding_to_one_never_ends_series():
+    # exp(-1.7e-142) is 1.0: the drop after the plateau has no geometric
+    # tail, so the series runs out of terms instead of failing in log1p.
+    def log_weight(idx):
+        return np.where(idx < 5, 0.0, -1.7e-142)
+
+    for scan in (scalar_log_sum, adaptive_log_sum):
+        with pytest.raises(ConvergenceError) as err:
+            scan(log_weight, 1e-12, 50)
+        assert err.value.achieved_tail == math.inf
 
 
 @pytest.mark.parametrize("edge", BLOCK_EDGES)

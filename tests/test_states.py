@@ -21,6 +21,8 @@ from gpssvs import (
     squeezed_vacuum,
     write_state_csv,
 )
+from gpssvs.deform import log_f_factorial_array, log_factorial, xlogy
+from gpssvs.states import _family_log_weight
 
 
 def harmonic_svs_coeffs(r, theta, k_max):
@@ -194,6 +196,46 @@ class TestProperties:
         assert np.all(state.photon_numbers % 2 == residue)
         assert not np.any(vec[1 - residue::2])
         assert np.all(vec[state.photon_numbers] == state.coeffs)
+
+
+def parity_log_weight(nl, spec):
+    """The even and odd closed forms, written out per parity, that the
+    family weight must reproduce byte for byte."""
+    t = math.tanh(spec.r)
+    m = spec.m
+    if spec.parity == EVEN:
+        def logw(js):
+            k = m + js
+            logc = (xlogy(k, t) - k * math.log(2.0) + log_factorial(2 * k)
+                    - log_factorial(k) - 0.5 * log_factorial(2 * js)
+                    - log_f_factorial_array(nl, 2 * js))
+            return 2.0 * logc
+    else:
+        def logw(js):
+            kp = m + js + 1
+            logc = (xlogy(kp, t) - kp * math.log(2.0) + log_factorial(2 * kp)
+                    - log_factorial(kp) - 0.5 * log_factorial(2 * js + 1)
+                    - log_f_factorial_array(nl, 2 * js + 1))
+            return 2.0 * logc
+    return logw
+
+
+SINE_TABLE = Nonlinearity.custom([1.0 + 0.1 * math.sin(k) for k in range(1, 400)])
+
+
+class TestFamilyWeight:
+    @pytest.mark.parametrize("nl", FAMILIES + (SINE_TABLE,),
+                             ids=["harmonic", "pt", "pt-0.7-2.2", "custom"])
+    @pytest.mark.parametrize("parity", [EVEN, ODD])
+    def test_matches_parity_closed_forms(self, nl, parity):
+        # Up to the table's last entry, or past harmonic r = 3, m = 4 odd (N = 4 966).
+        js = np.arange(199 if nl is SINE_TABLE else 6000, dtype=np.int64)
+        for r in (0.3, 1.0, 2.0, 3.0):
+            for m in range(5):
+                spec = SqueezeSpec(r, 0.0, m, parity)
+                want = parity_log_weight(nl, spec)(js)
+                got = _family_log_weight(nl, math.tanh(r), spec.photons_removed)(js)
+                assert got.tobytes() == want.tobytes()
 
 
 class TestRecursion:
