@@ -130,7 +130,15 @@ def moments_from_distribution(state: FockExpansion) -> tuple[float, float, float
 
 
 def quadrature_report(state: FockExpansion, n_max: int = DEFAULT_N_MAX) -> QuadratureReport:
-    """Quadrature variances and the state-dependent Robertson bound."""
+    """Quadrature variances and the state-dependent Robertson bound.
+
+    var_x and var_p are differences of moments, ½(<AA†> + <A†A> ± 2 Re<A²>),
+    so they lose about log10(<A†A> / var) digits to cancellation: for
+    harmonic r = 3, m = 4 odd, var_x ≈ 0.00254 comes from moments near
+    1912, and a 1e-13 relative move in the moments moved it by 9.1e-8
+    relative.  A Bogoliubov-reduced route (ROADMAP direction 1) would
+    avoid the difference.
+    """
     exp_a2, exp_ada, exp_aad = expectation_moments(state, n_max=n_max)
     two_re = 2.0 * exp_a2.real
     var_x = 0.5 * (exp_aad + exp_ada + two_re)

@@ -40,10 +40,12 @@ _BIG = 1e270
 _LOG_BIG = math.log(_BIG)
 
 # Points × diagonals evaluated together: bounds the evaluator's working set
-# whatever the number of points.  A chunk peaks near 130 bytes per cell
-# (tracemalloc, N = 9 and N = 613).
+# whatever the number of points.  The row tables of one block of degrees
+# hold at most max(CHUNK_CELLS, 3N) floats, and the next block's are built
+# before the last ones are freed.  Beyond those, a full chunk peaks at
+# 100-112 bytes per cell (tracemalloc, N = 9, 613 and 2 565).
 CHUNK_CELLS = 1 << 13
-_CELL_BYTES = 136
+_CELL_BYTES = 120
 _POINT_BYTES = 24  # the complex node and its value
 
 
@@ -98,15 +100,32 @@ class _WignerEvaluator:
         S_d = Σ_lo c_lo c̄_{lo+d} M_{2lo+s}^{(2d)}(x),
 
     with the d = 0 diagonal counted once.  One pass of the three-term
-    recurrence for M over the degree, on (points × diagonals) arrays, adds
-    the row of pair coefficients c_lo c̄_{lo+d} into S as the degree reaches
-    2 lo + s, so no Laguerre table is stored and no exponential is taken
-    per pair.  Columns whose values pass 1e270 are rescaled, the scale
-    carried in a log offset.  Both orientations l2 > l1 and l2 < l1 are
-    summed, the second with phase 2d(π - arg γ) as in the pair sum, so the
-    imaginary residue of W stays a real check.  Points are evaluated in
-    chunks of CHUNK_CELLS points × diagonals; every operation acts on each
-    point alone, so values do not depend on the chunking.
+    recurrence for M over the degree adds the row of pair coefficients
+    c_lo c̄_{lo+d} into S as the degree reaches 2 lo + s, so no Laguerre
+    table is stored and no exponential is taken per pair.
+
+    The recurrence runs on (diagonals × points) arrays.  Diagonals that
+    have no pair left drop off the end, so the active ones are a leading
+    block [:k], and for four or more points per chunk the arrays are
+    diagonal-major: each operation runs over one contiguous block, long
+    even when a grid state has only a few diagonals.  The x-independent
+    rows 2 deg + 1 + 2d and sqrt(deg (deg + 2d)) are built for a block of
+    degrees at once (at most about CHUNK_CELLS cells), so a degree costs
+    five array updates.
+
+    Cells whose values pass 1e270 are rescaled, the scale carried in a
+    log offset.  Abramowitz & Stegun 22.14.13 bound |L_p^{(a)}(x)| by
+    C(p + a, p) e^{x/2} for a, x >= 0; every active cell at degree p has
+    p + 2d <= max_degree, so |M| <= sqrt(C(max_degree, p)) e^{x/2}.  A
+    block of degrees where that bound stays e^10 below 1e270 skips the
+    scan, which could not fire there; in practice the scan runs only
+    above N ≈ 900 or far from the origin.
+
+    Both orientations l2 > l1 and l2 < l1 are summed, the second with
+    phase 2d(π - arg γ) as in the pair sum, so the imaginary residue of W
+    stays a real check.  Points are evaluated in chunks of CHUNK_CELLS
+    points × diagonals; every operation acts on each point alone, so
+    values do not depend on the chunking or the memory order.
     """
 
     def __init__(self, state: FockExpansion):
@@ -117,14 +136,24 @@ class _WignerEvaluator:
         self.conj_coeffs = np.conj(state.coeffs)
         self.alphas = 2.0 * np.arange(self.n)
         self.log_norm = -0.5 * log_factorial(2 * np.arange(self.n))
+        self.max_degree = top = 2 * (self.n - 1) + self.s
+        # ln sqrt(C(max_degree, p)): |M| at degree p is below e^{x/2} times this.
+        degrees = np.arange(top + 1)
+        self.log_bound = 0.5 * (log_factorial(top) - log_factorial(degrees)
+                                - log_factorial(top - degrees))
 
     def _chunk_points(self) -> int:
         return max(1, CHUNK_CELLS // self.n)
 
     def require_memory(self, points: int) -> None:
-        """Refuse (MemoryBudgetError) when nodes, values and one chunk do not fit."""
-        need = (points * _POINT_BYTES
-                + min(points, self._chunk_points()) * self.n * _CELL_BYTES)
+        """Refuse (MemoryBudgetError) when nodes, values and one chunk do not fit.
+
+        The chunk is charged one point more for the evaluator's own
+        per-diagonal arrays, plus two blocks of row tables.
+        """
+        cells = (min(points, self._chunk_points()) + 1) * self.n
+        tables = 2 * max(CHUNK_CELLS, 3 * self.n)
+        need = points * _POINT_BYTES + cells * _CELL_BYTES + tables * 8
         have = _physical_memory()
         if have is not None and need > have:
             raise MemoryBudgetError(
@@ -143,44 +172,19 @@ class _WignerEvaluator:
         return out.reshape(z.shape)
 
     def _chunk(self, z: np.ndarray) -> np.ndarray:
-        n, s = self.n, self.s
         g_re, g_im = 2.0 * z.real, 2.0 * z.imag
-        x = (g_re * g_re + g_im * g_im)[:, None]
-        prev = np.zeros((z.size, n))
-        cur = np.ones((z.size, n))
-        offsets = np.zeros((z.size, n))
-        acc = np.zeros((z.size, n), dtype=complex)
-        max_degree = 2 * (n - 1) + s
-        for deg in range(max_degree + 1):
-            if deg >= s and (deg - s) % 2 == 0:
-                lo = (deg - s) // 2
-                acc[:, :n - lo] += (self.coeffs[lo] * self.conj_coeffs[lo:]) * cur[:, :n - lo]
-            if deg == max_degree:
-                break
-            # Only diagonals that still have a pair at a higher degree advance.
-            k = n - (deg + 2 - s) // 2
-            a = self.alphas[:k]
-            cur_k, nxt = cur[:, :k], prev[:, :k]  # degree deg + 1 overwrites deg - 1
-            lead = (2 * deg + 1 + a) - x
-            lead *= cur_k
-            nxt *= np.sqrt(deg * (deg + a))
-            np.subtract(lead, nxt, out=nxt)
-            nxt /= np.sqrt((deg + 1) * (deg + 1 + a))
-            big = np.abs(nxt) > _BIG
-            if big.any():
-                for arr in (nxt, cur_k, acc[:, :k]):
-                    arr[big] /= _BIG
-                offsets[:, :k][big] += _LOG_BIG
-            prev, cur = cur, prev
-        arg = np.arctan2(g_im, g_re)[:, None]
-        log_mag = xlogy(0.5 * self.alphas, x) - 0.5 * x + self.log_norm + offsets
-        upper = acc * np.exp(log_mag + 1j * (self.alphas * arg))
-        lower = np.conj(acc) * np.exp(log_mag + 1j * (self.alphas * (math.pi - arg)))
+        x = g_re * g_re + g_im * g_im
+        acc, offsets = self._sums(x)
+        arg = np.arctan2(g_im, g_re)
+        alphas = self.alphas[:, None]
+        log_mag = xlogy(0.5 * alphas, x) - 0.5 * x + self.log_norm[:, None] + offsets
+        upper = acc * np.exp(log_mag + 1j * (alphas * arg))
+        lower = np.conj(acc) * np.exp(log_mag + 1j * (alphas * (math.pi - arg)))
         # Diagonal by diagonal, so each point's sum is the same in any chunk.
-        total = upper[:, 0].copy()
-        for d in range(1, n):
-            total += upper[:, d]
-            total += lower[:, d]
+        total = upper[0].copy()
+        for d in range(1, self.n):
+            total += upper[d]
+            total += lower[d]
         w = (TWO_OVER_PI * self.sigma) * total
         bad = np.abs(w.imag) > IMAG_RESIDUE_TOL
         if bad.any():
@@ -188,6 +192,72 @@ class _WignerEvaluator:
             raise InternalConsistencyError(
                 f"Wigner double sum left imaginary residue {w.imag[i]:.3e} at z={z[i]}")
         return w.real
+
+    def _sums(self, x: np.ndarray):
+        """S_d at the points x = |γ|², divided by e^offsets, and the offsets.
+
+        Both are (diagonals × points) arrays.  The recurrence runs in a call
+        of its own so that its arrays are freed before the final sum.
+        """
+        n, s = self.n, self.s
+        # With two or three points per chunk (N > CHUNK_CELLS / 4, or an
+        # array that small), numpy would run the row products diagonal-major
+        # in loops that short; point-major memory keeps them one diagonal
+        # block long.
+        order = "C" if x.size > 3 else "F"
+        prev = np.zeros((n, x.size), order=order)
+        cur = np.ones((n, x.size), order=order)
+        work = np.empty((n, x.size), order=order)
+        offsets = np.zeros((n, x.size), order=order)
+        acc = np.zeros((n, x.size), dtype=complex, order=order)
+        max_degree = self.max_degree
+        # Degrees whose log_bound stays below this cannot reach 1e270; a NaN
+        # point leaves room NaN, and "not <=" keeps the scan on.
+        room = _LOG_BIG - 10.0 - 0.5 * float(x.max())
+        block_end = 0
+        for deg in range(max_degree + 1):
+            if deg >= s and (deg - s) % 2 == 0:
+                lo = (deg - s) // 2
+                acc[:n - lo] += (self.coeffs[lo] * self.conj_coeffs[lo:])[:, None] * cur[:n - lo]
+            if deg == max_degree:
+                break
+            # Only diagonals that still have a pair at a higher degree advance.
+            k = n - (deg + 2 - s) // 2
+            if deg == block_end:
+                # Rows 2 deg + 1 + a and sqrt(deg (deg + a)) for a block of
+                # degrees, about CHUNK_CELLS cells in all.
+                block_start = deg
+                block_end = min(deg + max(1, (CHUNK_CELLS // k - 1) // 2), max_degree)
+                degs = np.arange(deg, block_end + 1, dtype=float)[:, None]
+                a = self.alphas[:k]
+                base = (2.0 * degs[:-1] + 1.0) + a
+                root = degs + a
+                root *= degs
+                np.sqrt(root, out=root)
+                peak = min(max(max_degree // 2, deg + 1), block_end)
+                scan = not self.log_bound[peak] <= room
+            i = deg - block_start
+            cur_k, nxt = cur[:k], prev[:k]  # degree deg + 1 overwrites deg - 1
+            lead = np.subtract(base[i, :k, None], x, out=work[:k])
+            lead *= cur_k
+            nxt *= root[i, :k, None]
+            np.subtract(lead, nxt, out=nxt)
+            nxt /= root[i + 1, :k, None]
+            if scan:
+                _rescale(nxt, cur_k, acc[:k], offsets[:k])
+            prev, cur = cur, prev
+        return acc, offsets
+
+
+def _rescale(nxt, cur, acc, offsets) -> bool:
+    """Divide the cells where |nxt| passes 1e270 by it; True if any did."""
+    big = np.abs(nxt) > _BIG
+    if not big.any():
+        return False
+    for arr in (nxt, cur, acc):
+        np.divide(arr, _BIG, out=arr, where=big)
+    np.add(offsets, _LOG_BIG, out=offsets, where=big)
+    return True
 
 
 def wigner_point(state: FockExpansion, z):
@@ -312,11 +382,12 @@ def wigner_grid(state: FockExpansion, x_range, p_range, resolution) -> WignerGri
     """Evaluate W on the product grid and attach negativity metrics.
 
     The ranges must be finite, and resolution is one node count for both
-    axes or a (nx, np) pair, each at least 2.  All nodes go through one evaluator in fixed-size chunks, so
-    each value is bit for bit wigner_point at its node.  A grid whose
-    nodes, values and chunk would not fit in physical memory is refused
-    up front (MemoryBudgetError); any point failure aborts the whole grid,
-    so a returned grid is always complete.
+    axes or a (nx, np) pair, each at least 2.  All nodes go through one
+    evaluator in fixed-size chunks, so each value is bit for bit
+    wigner_point at its node.  A grid whose nodes, values and chunk would
+    not fit in physical memory is refused up front (MemoryBudgetError);
+    any point failure aborts the whole grid, so a returned grid is always
+    complete.
     """
     if np.isscalar(resolution):
         res_x = res_p = int(resolution)

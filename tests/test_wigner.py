@@ -1,6 +1,7 @@
 """Wigner evaluation: Laguerre kernels, closed form, oracle, grids, metrics."""
 
 import math
+import tracemalloc
 
 from hypothesis import assume, given, settings, strategies as hs
 import numpy as np
@@ -23,10 +24,101 @@ from gpssvs import (
     write_wigner_csv,
     write_wigner_matrix,
 )
-from gpssvs.wigner import TWO_OVER_PI, _laguerre_log_table, displacement_columns
+from gpssvs.deform import xlogy
+from gpssvs.errors import InternalConsistencyError
+from gpssvs.wigner import (
+    IMAG_RESIDUE_TOL,
+    TWO_OVER_PI,
+    _BIG,
+    _LOG_BIG,
+    _WignerEvaluator,
+    _laguerre_log_table,
+    displacement_columns,
+)
 
 PT = Nonlinearity.poschl_teller(1.5, 1.5)
+PT_SKEW = Nonlinearity.poschl_teller(0.7, 2.2)
 HARM = Nonlinearity.harmonic()
+
+
+def reference_chunk(self, z: np.ndarray) -> np.ndarray:
+    """The evaluator's former loop on (points × diagonals) arrays, kept as
+    the reference its diagonal-major rewrite must reproduce bit for bit."""
+    n, s = self.n, self.s
+    g_re, g_im = 2.0 * z.real, 2.0 * z.imag
+    x = (g_re * g_re + g_im * g_im)[:, None]
+    prev = np.zeros((z.size, n))
+    cur = np.ones((z.size, n))
+    offsets = np.zeros((z.size, n))
+    acc = np.zeros((z.size, n), dtype=complex)
+    max_degree = 2 * (n - 1) + s
+    for deg in range(max_degree + 1):
+        if deg >= s and (deg - s) % 2 == 0:
+            lo = (deg - s) // 2
+            acc[:, :n - lo] += (self.coeffs[lo] * self.conj_coeffs[lo:]) * cur[:, :n - lo]
+        if deg == max_degree:
+            break
+        # Only diagonals that still have a pair at a higher degree advance.
+        k = n - (deg + 2 - s) // 2
+        a = self.alphas[:k]
+        cur_k, nxt = cur[:, :k], prev[:, :k]  # degree deg + 1 overwrites deg - 1
+        lead = (2 * deg + 1 + a) - x
+        lead *= cur_k
+        nxt *= np.sqrt(deg * (deg + a))
+        np.subtract(lead, nxt, out=nxt)
+        nxt /= np.sqrt((deg + 1) * (deg + 1 + a))
+        big = np.abs(nxt) > _BIG
+        if big.any():
+            for arr in (nxt, cur_k, acc[:, :k]):
+                arr[big] /= _BIG
+            offsets[:, :k][big] += _LOG_BIG
+        prev, cur = cur, prev
+    arg = np.arctan2(g_im, g_re)[:, None]
+    log_mag = xlogy(0.5 * self.alphas, x) - 0.5 * x + self.log_norm + offsets
+    upper = acc * np.exp(log_mag + 1j * (self.alphas * arg))
+    lower = np.conj(acc) * np.exp(log_mag + 1j * (self.alphas * (math.pi - arg)))
+    # Diagonal by diagonal, so each point's sum is the same in any chunk.
+    total = upper[:, 0].copy()
+    for d in range(1, n):
+        total += upper[:, d]
+        total += lower[:, d]
+    w = (TWO_OVER_PI * self.sigma) * total
+    bad = np.abs(w.imag) > IMAG_RESIDUE_TOL
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InternalConsistencyError(
+            f"Wigner double sum left imaginary residue {w.imag[i]:.3e} at z={z[i]}")
+    return w.real
+
+
+def reference_values(state, z) -> np.ndarray:
+    """W at the flat points z through reference_chunk, in the evaluator's chunks."""
+    evaluator = _WignerEvaluator(state)
+    flat = np.asarray(z, dtype=complex).reshape(-1)
+    step = evaluator._chunk_points()
+    return np.concatenate([reference_chunk(evaluator, flat[i:i + step])
+                           for i in range(0, flat.size, step)])
+
+
+def count_rescans(monkeypatch):
+    """Counters of the evaluator's overflow scans and of those that rescaled."""
+    counts = {"scans": 0, "rescales": 0}
+    scan = gpssvs.wigner._rescale
+
+    def counted(*arrays):
+        fired = scan(*arrays)
+        counts["scans"] += 1
+        counts["rescales"] += fired
+        return fired
+
+    monkeypatch.setattr(gpssvs.wigner, "_rescale", counted)
+    return counts
+
+
+def disc_points(count, radius, seed):
+    rng = np.random.default_rng(seed)
+    radii = radius * np.sqrt(rng.uniform(size=count))
+    return radii * np.exp(2j * math.pi * rng.uniform(size=count))
 
 
 class TestLaguerre:
@@ -131,6 +223,81 @@ class TestPointArrays:
         assert state.truncation > 2000
         for z in (0.05j, 0.3 + 0.1j, 1.5 - 1.0j):
             assert abs(wigner_point(state, z) - wigner_point_oracle(state, z)) <= 1e-10
+
+
+class TestAgainstFormerLoop:
+    """The diagonal-major evaluator returns the former loop's values bit for bit."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(family=hs.sampled_from([HARM, PT, PT_SKEW]),
+           r=hs.floats(0.0, 3.0, exclude_min=True), theta=hs.floats(0.0, 2 * math.pi),
+           m=hs.integers(0, 4), parity=hs.sampled_from([EVEN, ODD]),
+           radii=hs.lists(hs.floats(0.0, 6.0), min_size=1, max_size=40),
+           angle=hs.floats(0.0, 2 * math.pi))
+    def test_property_bit_identical(self, family, r, theta, m, parity, radii, angle):
+        state = pssvs(family, SqueezeSpec(r, theta, m, parity))
+        z = np.array(radii) * np.exp(1j * (angle + np.arange(len(radii))))
+        assert np.array_equal(wigner_point(state, z), reference_values(state, z))
+
+    @pytest.mark.parametrize("family,spec", [
+        (PT, SqueezeSpec(4.0, 0.0, 4, EVEN)),
+        (PT_SKEW, SqueezeSpec(1.3, 0.4, 2, ODD)),
+        (HARM, SqueezeSpec(1.0, 0.9, 3, ODD)),
+    ])
+    @pytest.mark.parametrize("chunk_points", [1, 2, 3, 7, None])
+    def test_any_chunk(self, monkeypatch, family, spec, chunk_points):
+        # One point, the point-major chunks of two and three points, seven
+        # points and the whole array per chunk.
+        state = pssvs(family, spec)
+        z = disc_points(45, 6.0, 11)
+        expected = reference_values(state, z)
+        if chunk_points is not None:
+            monkeypatch.setattr(gpssvs.wigner, "CHUNK_CELLS", chunk_points * state.truncation)
+        assert np.array_equal(wigner_point(state, z), expected)
+
+    def test_rescaled_cells(self, monkeypatch):
+        # N = 2565: the scan stays on and rescales, in point-major chunks of
+        # three points and at one point alone.
+        state = squeezed_vacuum(HARM, 3.0, 0.0)
+        assert state.truncation == 2565
+        z = np.array([0.05j, 0.3 + 0.1j, 1.5 - 1.0j, -2.0])
+        counts = count_rescans(monkeypatch)
+        assert np.array_equal(wigner_point(state, z), reference_values(state, z))
+        assert wigner_point(state, z[-1]) == reference_values(state, z[-1])[0]
+        assert counts["rescales"] >= 1
+
+
+class TestOverflowBound:
+    """The bound that lets the evaluator skip its overflow scan."""
+
+    def test_abramowitz_stegun_bound(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for p in (0, 1, 17, 600):
+                for a in (0, 2, 1224):
+                    for x in (0.0, 1e-3, 36.0, 400.0):
+                        value = abs(mpmath.laguerre(p, a, x))
+                        bound = mpmath.binomial(p + a, p) * mpmath.exp(x / 2)
+                        assert value <= bound, (p, a, x)
+
+    @pytest.mark.parametrize("family,spec", [
+        (PT, SqueezeSpec(4.0, 0.0, 4, EVEN)),
+        (HARM, SqueezeSpec(2.0, 0.0, 3, ODD)),  # N = 613
+    ])
+    def test_scan_skipped_where_bound_holds(self, monkeypatch, family, spec):
+        state = pssvs(family, spec)
+        counts = count_rescans(monkeypatch)
+        z = np.append(disc_points(12, 3.0, 5), 3.0j)
+        for point in z:
+            wigner_point(state, point)
+        wigner_point(state, z)
+        assert counts["scans"] == 0
+
+    def test_scan_kept_at_large_truncation(self, monkeypatch):
+        state = squeezed_vacuum(HARM, 3.0, 0.0)
+        counts = count_rescans(monkeypatch)
+        wigner_point(state, 0.2 + 0.1j)
+        assert counts["scans"] > 0
 
 
 class TestCoherentTransform:
@@ -283,6 +450,28 @@ class TestGrid:
             grid = wigner_grid(state, (-2, 2), (-1.5, 1.5), (9, 7))
             assert np.array_equal(grid.values, points)
             assert np.array_equal(wigner_point(state, nodes), points)
+
+    @pytest.mark.parametrize("grid", [False, True], ids=["point-N613", "pt-grid-41"])
+    def test_memory_charge_covers_traced_peak(self, monkeypatch, grid):
+        # The charge must stay an upper bound: a machine one byte smaller
+        # than the traced peak is refused.
+        if grid:
+            state = pssvs(PT, SqueezeSpec(4.0, 0.0, 4, EVEN))
+            evaluate = lambda: wigner_grid(state, (-6, 6), (-6, 6), 41)  # noqa: E731
+        else:
+            state = pssvs(HARM, SqueezeSpec(2.0, 0.0, 3, ODD))
+            assert state.truncation == 613
+            evaluate = lambda: wigner_point(state, 0.4 - 1.1j)  # noqa: E731
+        evaluate()  # warm the log-gamma tables
+        tracemalloc.start()
+        try:
+            evaluate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(gpssvs.wigner, "_physical_memory", lambda: peak - 1)
+        with pytest.raises(MemoryBudgetError):
+            evaluate()
 
     def test_memory_refusal(self, monkeypatch):
         # A figure of 1 MiB stands in for a machine too small for the request;
